@@ -21,10 +21,13 @@
 //! Budget defaults to `fast`; override with `CAE_BUDGET=smoke|fast|full`.
 //! Run with `cargo run --release -p cae-bench --bin bench_experiments`.
 
-use cae_bench::{budget_from_env, run_one};
+use cae_bench::{budget_from_env, budget_name, run_one};
 use serde::Value;
 use std::process::Command;
 use std::time::Instant;
+
+/// Budget preset when `CAE_BUDGET` is unset.
+const DEFAULT_BUDGET: &str = "fast";
 
 const CHILD_ENV: &str = "CAE_BENCH_EXPERIMENTS_CHILD";
 
@@ -33,7 +36,7 @@ const CURVE_THREADS: [usize; 3] = [1, 2, 4];
 
 /// Child mode: run table02 and write its JSON report to the given path.
 fn run_child(out_path: &str) {
-    let budget = budget_from_env("fast");
+    let budget = budget_from_env(DEFAULT_BUDGET);
     let report = run_one("table02", &budget);
     std::fs::write(out_path, report.to_json()).expect("failed to write child report");
 }
@@ -122,7 +125,7 @@ fn main() {
         ("experiment".to_string(), Value::String("table02".to_string())),
         (
             "budget".to_string(),
-            Value::String(std::env::var("CAE_BUDGET").unwrap_or_else(|_| "fast".to_string())),
+            Value::String(budget_name(DEFAULT_BUDGET).to_owned()),
         ),
         ("host_parallelism".to_string(), Value::Number(host as f64)),
         ("curve".to_string(), Value::Array(curve)),

@@ -16,11 +16,14 @@
 //! Budget defaults to `smoke`; override with `CAE_BUDGET=smoke|fast|full`.
 //! Run with `cargo run --release -p cae-bench --bin bench_faults`.
 
-use cae_bench::{budget_from_env, run_one};
+use cae_bench::{budget_from_env, budget_name, run_one};
 use cae_core::config::ExperimentBudget;
 use cae_core::experiments::scheduler::{force_fault_policy, FaultPolicy};
 use serde::Value;
 use std::time::Instant;
+
+/// Budget preset when `CAE_BUDGET` is unset.
+const DEFAULT_BUDGET: &str = "smoke";
 
 /// Injection knob used for the faulty/recovered runs: ~20% of cell
 /// attempts panic, deterministically in the (cell seed, attempt) pair.
@@ -42,7 +45,7 @@ fn run_mode(mode: &'static str, policy: FaultPolicy, budget: &ExperimentBudget) 
 }
 
 fn main() {
-    let budget = budget_from_env("smoke");
+    let budget = budget_from_env(DEFAULT_BUDGET);
 
     println!("warming the teacher cache (untimed clean run) ...");
     run_mode("warmup", FaultPolicy::NONE, &budget);
@@ -83,7 +86,7 @@ fn main() {
         ("experiment".to_string(), Value::String("table02".to_string())),
         (
             "budget".to_string(),
-            Value::String(std::env::var("CAE_BUDGET").unwrap_or_else(|_| "smoke".to_string())),
+            Value::String(budget_name(DEFAULT_BUDGET).to_owned()),
         ),
         (
             "fault_inject".to_string(),

@@ -21,10 +21,10 @@
 //! serve determinism invariant, re-proven here on every bench run.
 //!
 //! Budget defaults to `smoke` (`CAE_BUDGET=smoke|fast|full`); the trace
-//! length defaults to 400 requests (`CAE_SERVE_REQUESTS=n`).
+//! is 400 requests long.
 //! Run with `cargo run --release -p cae-bench --bin bench_serve`.
 
-use cae_bench::budget_from_env;
+use cae_bench::{budget_from_env, budget_name};
 use cae_core::metrics::classification::frozen_top1_accuracy;
 use cae_core::teacher;
 use cae_data::presets::ClassificationPreset;
@@ -34,6 +34,9 @@ use cae_serve::{
     prediction_log, run_closed_loop, run_open_loop, RequestTrace, RunResult, ServeOptions,
 };
 use serde::Value;
+
+/// Budget preset when `CAE_BUDGET` is unset.
+const DEFAULT_BUDGET: &str = "smoke";
 
 /// One batching configuration to sweep.
 struct BatchConfig {
@@ -49,13 +52,8 @@ const CONFIGS: [BatchConfig; 3] = [
     BatchConfig { name: "b32_l50ms_c8", max_batch: 32, max_latency_us: 50_000, clients: 8 },
 ];
 
-fn requests_from_env() -> usize {
-    std::env::var("CAE_SERVE_REQUESTS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(400)
-}
+/// Length of the served request trace.
+const REQUESTS: usize = 400;
 
 fn run_record(name: &str, run: &RunResult) -> Value {
     // Per-phase percentiles come from the lock-free serve.phase.*
@@ -88,8 +86,8 @@ fn main() {
     // decomposition in every record below; recording costs two relaxed
     // atomic adds per phase sample.
     cae_trace::metrics::force_enabled(true);
-    let budget = budget_from_env("smoke");
-    let requests = requests_from_env();
+    let budget = budget_from_env(DEFAULT_BUDGET);
+    let requests = REQUESTS;
     let preset = ClassificationPreset::C10Sim;
     let split = preset.generate(budget.seed);
 
@@ -203,7 +201,7 @@ fn main() {
     let json = serde_json::to_string_pretty(&Value::Object(vec![
         (
             "budget".to_string(),
-            Value::String(std::env::var("CAE_BUDGET").unwrap_or_else(|_| "smoke".to_string())),
+            Value::String(budget_name(DEFAULT_BUDGET).to_owned()),
         ),
         ("requests".to_string(), Value::Number(requests as f64)),
         ("arch".to_string(), Value::String("ResNet18".to_string())),

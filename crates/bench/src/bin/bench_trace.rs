@@ -14,10 +14,13 @@
 //! Budget defaults to `smoke`; override with `CAE_BUDGET=smoke|fast|full`.
 //! Run with `cargo run --release -p cae-bench --bin bench_trace`.
 
-use cae_bench::{budget_from_env, run_one};
+use cae_bench::{budget_from_env, budget_name, run_one};
 use serde::Value;
 use std::process::Command;
 use std::time::Instant;
+
+/// Budget preset when `CAE_BUDGET` is unset.
+const DEFAULT_BUDGET: &str = "smoke";
 
 const CHILD_ENV: &str = "CAE_BENCH_TRACE_CHILD";
 const CHILD_TRACE_ENV: &str = "CAE_BENCH_TRACE_SUMMARY";
@@ -29,7 +32,7 @@ const CHILD_JSONL_ENV: &str = "CAE_BENCH_TRACE_JSONL";
 /// `bench_compare`'s trace-diff attribution and `cae-dfkd trace-diff`
 /// consume).
 fn run_child(out_path: &str) {
-    let budget = budget_from_env("smoke");
+    let budget = budget_from_env(DEFAULT_BUDGET);
     let report = run_one("table02", &budget);
     std::fs::write(out_path, report.to_json()).expect("failed to write child report");
     if cae_trace::enabled() {
@@ -102,7 +105,7 @@ fn main() {
         ("experiment".to_string(), Value::String("table02".to_string())),
         (
             "budget".to_string(),
-            Value::String(std::env::var("CAE_BUDGET").unwrap_or_else(|_| "smoke".to_string())),
+            Value::String(budget_name(DEFAULT_BUDGET).to_owned()),
         ),
         ("runs".to_string(), Value::Array(vec![record(&disabled), record(&enabled)])),
         ("overhead_pct".to_string(), Value::Number(overhead_pct)),

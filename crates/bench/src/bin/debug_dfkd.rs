@@ -9,7 +9,6 @@ use cae_core::metrics::classification::top1_accuracy;
 use cae_core::teacher::{pretrained, pretrained_frozen};
 use cae_core::trainer::DfkdTrainer;
 use cae_data::presets::ClassificationPreset;
-use cae_nn::infer::FreezeMode;
 use cae_nn::models::Arch;
 use cae_tensor::rng::TensorRng;
 
@@ -35,7 +34,6 @@ fn main() {
         &split.train,
         &budget,
         config.batch_size,
-        FreezeMode::from_env(),
     );
     println!(
         "teacher acc: {:.3}",

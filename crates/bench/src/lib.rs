@@ -15,32 +15,33 @@
 //!   budget (or the `CAE_BUDGET` override) and writes the JSON artifact to
 //!   `results/`.
 
-use cae_core::config::ExperimentBudget;
+use cae_core::config::{Config, ExperimentBudget};
 use cae_core::report::Report;
 use std::path::PathBuf;
 
 pub mod compare;
 
-/// Reads the experiment budget from `CAE_BUDGET` (`smoke` / `fast` /
-/// `full`), defaulting to `default_name`.
-///
-/// # Panics
-/// Panics if the variable holds an unknown value.
-pub fn budget_from_env(default_name: &str) -> ExperimentBudget {
-    let name = std::env::var("CAE_BUDGET").unwrap_or_else(|_| default_name.to_owned());
-    match name.as_str() {
-        "smoke" => ExperimentBudget::smoke(),
-        "fast" => ExperimentBudget::fast(),
-        "full" => ExperimentBudget::full(),
-        other => panic!("unknown CAE_BUDGET '{other}' (expected smoke|fast|full)"),
-    }
+/// The budget preset name a bin runs at: `CAE_BUDGET` if set, else
+/// `default_name`. Bins record this name next to their measurements.
+pub fn budget_name(default_name: &str) -> &str {
+    Config::get().budget.as_deref().unwrap_or(default_name)
 }
 
-/// Directory where JSON report artifacts are written.
+/// The experiment budget named by [`budget_name`] (`smoke` / `fast` /
+/// `full`).
+///
+/// # Panics
+/// Panics if `CAE_BUDGET` holds an unknown name.
+pub fn budget_from_env(default_name: &str) -> ExperimentBudget {
+    let name = budget_name(default_name);
+    ExperimentBudget::from_name(name)
+        .unwrap_or_else(|| panic!("unknown CAE_BUDGET '{name}' (expected smoke|fast|full)"))
+}
+
+/// Directory where JSON report artifacts are written (`CAE_RESULTS_DIR`,
+/// default `results/`).
 pub fn results_dir() -> PathBuf {
-    std::env::var("CAE_RESULTS_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| PathBuf::from("results"))
+    PathBuf::from(Config::get().results_dir.as_deref().unwrap_or("results"))
 }
 
 /// Prints a report and persists its JSON artifact; used by every bin.
@@ -99,16 +100,9 @@ pub fn run_one(name: &str, budget: &ExperimentBudget) -> Report {
 }
 
 /// Whether checkpoint/resume is enabled for sweep bins. Defaults to on;
-/// `CAE_RESUME` set to `0`, `off`, `false` or `no` (case-insensitive)
-/// forces every experiment to re-run.
+/// an off-token in `CAE_RESUME` forces every experiment to re-run.
 pub fn resume_enabled() -> bool {
-    match std::env::var("CAE_RESUME") {
-        Ok(v) => !matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "0" | "off" | "false" | "no"
-        ),
-        Err(_) => true,
-    }
+    Config::get().resume
 }
 
 /// Checks whether `entry` already has a completed report artifact under
@@ -158,13 +152,6 @@ mod tests {
         assert_eq!(ids.len(), 13);
         assert_eq!(ids[0], "table01");
         assert!(!ids.contains(&"ablations"));
-    }
-
-    #[test]
-    fn budget_parsing() {
-        std::env::remove_var("CAE_BUDGET");
-        assert_eq!(budget_from_env("fast"), ExperimentBudget::fast());
-        assert_eq!(budget_from_env("smoke"), ExperimentBudget::smoke());
     }
 
     #[test]

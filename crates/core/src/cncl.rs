@@ -15,7 +15,7 @@
 //! categories, teaching the student domain-invariant category features.
 
 use crate::cend::CendLayer;
-use cae_nn::infer::{self, FreezeOptions};
+use cae_nn::infer::FreezeOptions;
 use cae_nn::module::{Classifier, ForwardCtx, Generator};
 use cae_tensor::rng::TensorRng;
 use cae_tensor::{Tensor, Var};
@@ -80,16 +80,9 @@ pub fn cncl_loss(
     }
     let z = Tensor::from_vec(latents, &[kb + kb * n, d]).expect("shape consistent");
 
-    // Generate all images in one pass, detached from the generator. The
-    // frozen path never builds a graph, so detachment is structural; the
-    // legacy path (`CAE_INFER=0`) detaches explicitly.
-    let images = if infer::infer_enabled() {
-        Var::constant(generator.freeze_with(&FreezeOptions::from_env()).generate(&z))
-    } else {
-        generator
-            .generate(&Var::constant(z), &mut ForwardCtx::eval())
-            .detach()
-    };
+    // Generate all images in one pass, detached from the generator: the
+    // frozen forward never builds a graph, so detachment is structural.
+    let images = Var::constant(generator.freeze_with(&FreezeOptions::fused()).generate(&z));
 
     // Student embeddings (training mode: gradients flow into the student).
     let mut ctx = ForwardCtx::train();

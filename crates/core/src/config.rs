@@ -1,7 +1,7 @@
 //! Configuration types: DFKD hyper-parameters, experiment budgets, and the
-//! process-wide [`Config`] snapshot of every `CAE_*` environment knob.
+//! process-wide [`Config`] snapshot of the `CAE_*` environment knobs.
 
-use cae_nn::infer::FreezeMode;
+use cae_trace::knob;
 
 /// Hyper-parameters of the DFKD optimization (Eqs. 5 and 6).
 ///
@@ -133,6 +133,17 @@ impl ExperimentBudget {
         }
     }
 
+    /// The preset named `smoke`, `fast` or `full` (the spelling shared by
+    /// `CAE_BUDGET` and the CLI's `--budget`), or `None` for any other name.
+    pub fn from_name(name: &str) -> Option<Self> {
+        match name {
+            "smoke" => Some(ExperimentBudget::smoke()),
+            "fast" => Some(ExperimentBudget::fast()),
+            "full" => Some(ExperimentBudget::full()),
+            _ => None,
+        }
+    }
+
     /// A micro budget for unit tests (seconds, not minutes).
     pub fn smoke() -> Self {
         ExperimentBudget {
@@ -174,15 +185,16 @@ pub struct ConfigEntry {
     pub doc: &'static str,
 }
 
-/// The typed, read-once snapshot of every `CAE_*` environment variable.
+/// The typed, read-once snapshot of the `CAE_*` knobs owned by this crate
+/// and `cae-serve`.
 ///
-/// Parsed (and where a lower crate owns the knob, resolved through that
-/// crate's own parse-once accessor) on the first [`Config::get`] call;
-/// later environment mutations have no effect. Boolean knobs follow the
-/// shared convention: `0`, `off`, `false`, `no` disable (case-insensitive,
-/// surrounding whitespace ignored), except `CAE_TRACE` which is
-/// *opt-in* (`1`, `true`, `on`, `yes` enable). In-process harnesses that
-/// need to vary a knob between runs use the typed overrides
+/// Every knob is read through the [`cae_trace::knob`] grammar. Knobs owned
+/// by a lower crate (`CAE_SIMD`, `CAE_NUM_THREADS`, `CAE_AUTOTUNE*`,
+/// `CAE_TRACE*`, `CAE_METRICS_INTERVAL_MS`) are not mirrored here: each is
+/// parsed once by its owning accessor, and [`Config::render`] reports what
+/// those accessors resolved. Fields are parsed on the first [`Config::get`]
+/// call; later environment mutations have no effect. In-process harnesses
+/// that need to vary a knob between runs use the typed overrides
 /// ([`crate::experiments::scheduler::force_cell_parallelism`],
 /// [`crate::experiments::scheduler::force_fault_policy`],
 /// `cae_tensor::simd::force_backend`, `cae_tensor::pool::force_pool_size`,
@@ -190,32 +202,9 @@ pub struct ConfigEntry {
 /// instead of mutating the environment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Config {
-    /// Active SIMD backend (`CAE_SIMD`: `scalar`/`avx2`/`neon`/auto).
-    pub simd_backend: String,
-    /// Tensor-pool parallelism (`CAE_NUM_THREADS`, default: all cores).
-    pub num_threads: usize,
-    /// GEMM autotuning enabled (`CAE_AUTOTUNE`).
-    pub autotune: bool,
-    /// On-disk autotune winner cache (`CAE_AUTOTUNE_CACHE`): path override,
-    /// or `false` when persistence is disabled.
-    pub autotune_cache: bool,
     /// Per-cell kernel thread budget override (`CAE_CELL_THREAD_BUDGET`);
     /// `None` derives `ceil(pool / cells)` at run time.
     pub cell_thread_budget: Option<usize>,
-    /// Frozen-graph eval forwards enabled (`CAE_INFER`).
-    pub infer: bool,
-    /// Freeze mode for eval forwards (`CAE_FUSE`: off ⇒ exact).
-    pub fuse: FreezeMode,
-    /// Tracing enabled (`CAE_TRACE`, opt-in).
-    pub trace: bool,
-    /// Per-thread trace event cap (`CAE_TRACE_MAX_EVENTS`).
-    pub trace_max_events: usize,
-    /// Per-thread series event cap (`CAE_TRACE_SERIES_CAP`).
-    pub trace_series_cap: usize,
-    /// Periodic metrics-exporter interval (`CAE_METRICS_INTERVAL_MS`);
-    /// `None` disables the exporter (histograms still record under
-    /// `CAE_TRACE`).
-    pub metrics_interval_ms: Option<u64>,
     /// Cell-level experiment parallelism (`CAE_CELL_PARALLEL`).
     pub cell_parallel: bool,
     /// Failed-cell retry count (`CAE_CELL_RETRIES`).
@@ -236,27 +225,6 @@ pub struct Config {
     pub serve_workers: usize,
 }
 
-/// Shared disable-token rule for boolean `CAE_*` knobs.
-fn env_disabled(var: &str) -> bool {
-    match std::env::var(var) {
-        Ok(v) => matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "0" | "off" | "false" | "no"
-        ),
-        Err(_) => false,
-    }
-}
-
-/// Parses a positive-integer knob, falling back to `default` when unset or
-/// malformed (matching the lower crates' lenient convention).
-fn env_usize(var: &str, default: usize) -> usize {
-    std::env::var(var)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(default)
-}
-
 impl Config {
     /// The process-wide snapshot, parsed on first call.
     pub fn get() -> &'static Config {
@@ -264,45 +232,21 @@ impl Config {
         SNAPSHOT.get_or_init(Config::from_env)
     }
 
-    /// Parses a fresh snapshot. Prefer [`Config::get`]; this constructor
-    /// exists for tests and for printing what a *current* environment
-    /// would resolve to.
-    pub fn from_env() -> Config {
+    fn from_env() -> Config {
         Config {
-            simd_backend: format!("{:?}", cae_tensor::simd::active_backend()).to_lowercase(),
-            num_threads: env_usize(
-                "CAE_NUM_THREADS",
-                std::thread::available_parallelism().map_or(1, |n| n.get()),
-            ),
-            autotune: cae_tensor::autotune::enabled(),
-            autotune_cache: cae_tensor::autotune::cache_enabled(),
-            cell_thread_budget: std::env::var("CAE_CELL_THREAD_BUDGET")
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .filter(|&n| n >= 1),
-            infer: cae_nn::infer::infer_enabled(),
-            fuse: FreezeMode::from_env(),
-            trace: cae_trace::enabled(),
-            trace_max_events: cae_trace::event_cap(),
-            trace_series_cap: cae_trace::series_cap(),
-            metrics_interval_ms: cae_trace::metrics::interval_ms(),
-            cell_parallel: match std::env::var("CAE_CELL_PARALLEL") {
-                Ok(v) => !crate::experiments::scheduler::parallelism_disabled_by(&v),
-                Err(_) => true,
-            },
-            cell_retries: std::env::var("CAE_CELL_RETRIES")
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
+            cell_thread_budget: knob::positive("CAE_CELL_THREAD_BUDGET"),
+            cell_parallel: !knob::off("CAE_CELL_PARALLEL"),
+            cell_retries: knob::raw("CAE_CELL_RETRIES")
+                .and_then(|v| v.trim().parse().ok())
                 .unwrap_or(0),
-            fault_inject: std::env::var("CAE_FAULT_INJECT")
-                .ok()
+            fault_inject: knob::raw("CAE_FAULT_INJECT")
                 .and_then(|v| crate::experiments::scheduler::parse_fault_inject(&v)),
-            budget: std::env::var("CAE_BUDGET").ok(),
-            results_dir: std::env::var("CAE_RESULTS_DIR").ok(),
-            resume: !env_disabled("CAE_RESUME"),
-            serve_max_batch: env_usize("CAE_SERVE_MAX_BATCH", 16),
-            serve_max_latency_us: env_usize("CAE_SERVE_MAX_LATENCY_US", 2000) as u64,
-            serve_workers: env_usize("CAE_SERVE_WORKERS", 1),
+            budget: knob::raw("CAE_BUDGET"),
+            results_dir: knob::raw("CAE_RESULTS_DIR"),
+            resume: !knob::off("CAE_RESUME"),
+            serve_max_batch: knob::positive("CAE_SERVE_MAX_BATCH").unwrap_or(16),
+            serve_max_latency_us: knob::positive("CAE_SERVE_MAX_LATENCY_US").unwrap_or(2000) as u64,
+            serve_workers: knob::positive("CAE_SERVE_WORKERS").unwrap_or(1),
         }
     }
 
@@ -315,8 +259,6 @@ impl Config {
             ConfigEntry { var: "CAE_NUM_THREADS", values: "integer ≥ 1", default: "all cores", doc: "Tensor-pool parallelism (kernel and cell levels share the pool cooperatively)." },
             ConfigEntry { var: "CAE_AUTOTUNE", values: "bool (off-tokens disable)", default: "on", doc: "Measure candidate GEMM blockings/cutoffs once per shape-class and cache the winner; results are bit-identical either way." },
             ConfigEntry { var: "CAE_AUTOTUNE_CACHE", values: "path, or off-tokens", default: "temp dir, host-keyed", doc: "On-disk autotune winner cache; off-tokens disable persistence (in-process tuning still runs)." },
-            ConfigEntry { var: "CAE_INFER", values: "bool (off-tokens disable)", default: "on", doc: "Route eval-mode forwards through frozen graphs instead of autograd." },
-            ConfigEntry { var: "CAE_FUSE", values: "bool (off-tokens disable)", default: "on", doc: "Conv+BN folding and activation fusion at freeze time; off selects the bit-exact mode." },
             ConfigEntry { var: "CAE_TRACE", values: "bool (`1`/`true`/`on`/`yes` enable)", default: "off", doc: "In-process tracing: spans, counters, gauges, series." },
             ConfigEntry { var: "CAE_TRACE_MAX_EVENTS", values: "integer ≥ 1", default: "65536", doc: "Per-thread span/counter event cap; excess is dropped and flagged." },
             ConfigEntry { var: "CAE_TRACE_SERIES_CAP", values: "integer ≥ 1", default: "65536", doc: "Per-thread series event cap." },
@@ -347,23 +289,23 @@ impl Config {
         out
     }
 
-    /// Renders the effective snapshot for `cae-dfkd config`, one
-    /// `VAR = value` line per knob, in [`Config::entries`] order.
+    /// Renders the effective configuration for `cae-dfkd config`, one
+    /// `VAR = value` line per knob, in [`Config::entries`] order. Knobs a
+    /// lower crate owns are reported from that crate's accessor, i.e. the
+    /// value the process actually runs with.
     pub fn render(&self) -> String {
         let fmt_opt = |v: &Option<String>| v.clone().unwrap_or_else(|| "<unset>".to_owned());
         let rows: Vec<(&str, String)> = vec![
-            ("CAE_SIMD", self.simd_backend.clone()),
-            ("CAE_NUM_THREADS", self.num_threads.to_string()),
-            ("CAE_AUTOTUNE", self.autotune.to_string()),
-            ("CAE_AUTOTUNE_CACHE", self.autotune_cache.to_string()),
-            ("CAE_INFER", self.infer.to_string()),
-            ("CAE_FUSE", format!("{:?}", self.fuse).to_lowercase()),
-            ("CAE_TRACE", self.trace.to_string()),
-            ("CAE_TRACE_MAX_EVENTS", self.trace_max_events.to_string()),
-            ("CAE_TRACE_SERIES_CAP", self.trace_series_cap.to_string()),
+            ("CAE_SIMD", cae_tensor::simd::active_backend().name().to_owned()),
+            ("CAE_NUM_THREADS", cae_tensor::pool::max_parallelism().to_string()),
+            ("CAE_AUTOTUNE", cae_tensor::autotune::enabled().to_string()),
+            ("CAE_AUTOTUNE_CACHE", cae_tensor::autotune::cache_enabled().to_string()),
+            ("CAE_TRACE", cae_trace::enabled().to_string()),
+            ("CAE_TRACE_MAX_EVENTS", cae_trace::event_cap().to_string()),
+            ("CAE_TRACE_SERIES_CAP", cae_trace::series_cap().to_string()),
             (
                 "CAE_METRICS_INTERVAL_MS",
-                self.metrics_interval_ms
+                cae_trace::metrics::interval_ms()
                     .map_or_else(|| "<unset>".to_owned(), |n| n.to_string()),
             ),
             ("CAE_CELL_PARALLEL", self.cell_parallel.to_string()),
@@ -450,6 +392,15 @@ mod tests {
         assert!(config.serve_max_batch >= 1);
         assert!(config.serve_max_latency_us >= 1);
         assert!(config.serve_workers >= 1);
-        assert!(config.num_threads >= 1);
+    }
+
+    #[test]
+    fn budget_names_resolve_to_presets() {
+        assert_eq!(ExperimentBudget::from_name("smoke"), Some(ExperimentBudget::smoke()));
+        assert_eq!(ExperimentBudget::from_name("fast"), Some(ExperimentBudget::fast()));
+        assert_eq!(ExperimentBudget::from_name("full"), Some(ExperimentBudget::full()));
+        for unknown in ["", "Fast", " fast", "medium"] {
+            assert_eq!(ExperimentBudget::from_name(unknown), None, "{unknown:?}");
+        }
     }
 }

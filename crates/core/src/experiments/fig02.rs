@@ -103,6 +103,7 @@ mod tests {
 
     #[test]
     fn smoke_run_has_one_row_per_category_plus_summaries() {
+        let _guard = crate::trace_test_lock();
         let b = ExperimentBudget::smoke();
         let r = run(&b);
         assert_eq!(

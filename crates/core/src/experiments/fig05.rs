@@ -55,7 +55,7 @@ pub fn run(budget: &ExperimentBudget) -> Report {
             [1.0 - m.pacc.unwrap_or(0.0), m.abs_err.unwrap_or(0.0)]
         }));
     }
-    let rows = scheduler::run_cells_isolated(budget.seed, cells);
+    let rows = scheduler::run_indexed_isolated(budget.seed, cells.len(), |i| cells[i]());
     let labels: Vec<&str> = std::iter::once("Student (data-accessible)")
         .chain(specs.iter().map(|s| s.name.as_str()))
         .collect();

@@ -27,8 +27,8 @@
 //! # Fault isolation
 //!
 //! Long many-cell runs should degrade gracefully, not abort: generator
-//! DFKD training is unstable early on, so partial failure is routine. The
-//! `*_isolated` runners wrap every cell in `catch_unwind` and return
+//! DFKD training is unstable early on, so partial failure is routine.
+//! [`run_indexed_isolated`] wraps every cell in `catch_unwind` and returns
 //! `Result<T, CellError>` per cell — a panicking cell costs exactly its
 //! own slot, never its siblings' completed work. Failed cells may be
 //! retried (`CAE_CELL_RETRIES`, default 0); a retry re-runs the cell with
@@ -45,9 +45,9 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, PoisonError};
 
-/// A boxed retryable cell: unlike the `FnOnce` cells of [`run_cells`], an
-/// isolated cell may be invoked again after a panic, so it must be `Fn`
-/// (and `Sync`, because retries happen on pool worker threads).
+/// A boxed retryable cell for runners whose cells differ in shape: a cell
+/// may be invoked again after a panic, so it must be `Fn` (and `Sync`,
+/// because cells and their retries run on pool worker threads).
 pub type Cell<'a, T> = Box<dyn Fn() -> T + Send + Sync + 'a>;
 
 /// Derives a per-cell RNG seed from the experiment seed and the cell's
@@ -93,15 +93,6 @@ pub fn cell_parallelism_enabled() -> bool {
         2 => true,
         _ => crate::config::Config::get().cell_parallel,
     }
-}
-
-/// Whether a `CAE_CELL_PARALLEL` value requests serial cells. The accepted
-/// disabling values are `0`, `off`, `false` and `no`, case-insensitively.
-pub(crate) fn parallelism_disabled_by(value: &str) -> bool {
-    matches!(
-        value.trim().to_ascii_lowercase().as_str(),
-        "0" | "off" | "false" | "no"
-    )
 }
 
 /// One cell's failure: which cell, the exact seed it ran under (so the
@@ -260,39 +251,50 @@ fn run_isolated<T>(policy: &FaultPolicy, cell: usize, seed: u64, body: &dyn Fn()
     }
 }
 
-/// Runs every cell closure and returns their results in cell order.
+/// Runs `f(0..n)` as fault-isolated cells and returns one `Result` per
+/// cell, in cell order — the scheduler's one entry point.
 ///
-/// Cells run concurrently on the tensor pool when it has more than one
-/// thread and [`cell_parallelism_enabled`] holds; otherwise they run
-/// serially on the calling thread (in index order, with kernel-level
-/// parallelism intact). Heterogeneous cells can be passed as
-/// `Vec<Box<dyn FnOnce() -> T + Send>>`.
-///
-/// # Panics
-/// Re-raises the first panicking cell's original payload (see
-/// [`cae_tensor::pool::parallel_for`]); sibling results are lost, so
-/// prefer [`run_cells_isolated`] for long fault-prone runs.
-pub fn run_cells<T, F>(cells: Vec<F>) -> Vec<T>
+/// Cell `i` executes inside a `scheduler.cell` span tagged with its index
+/// and the RNG seed [`cell_seed`]`(base_seed, i)` the runner derives for
+/// it, so a drained trace attributes every interval to a concrete (cell,
+/// seed) pair even when cells interleave across pool workers. Every cell
+/// runs inside `catch_unwind` under the retry/fault-injection policy
+/// ([`FaultPolicy`], resolved once here on the calling thread), so a
+/// panicking cell never aborts its siblings and completed work is always
+/// returned. Cells run concurrently on the tensor pool when it has more
+/// than one thread and [`cell_parallelism_enabled`] holds; otherwise they
+/// run serially on the calling thread (in index order, with kernel-level
+/// parallelism intact). Runners holding a `Vec<`[`Cell`]`>` pass
+/// `|i| cells[i]()`.
+pub fn run_indexed_isolated<T, F>(base_seed: u64, n: usize, f: F) -> Vec<Result<T, CellError>>
 where
     T: Send,
-    F: FnOnce() -> T + Send,
+    F: Fn(usize) -> T + Sync,
 {
-    let n = cells.len();
+    let policy = FaultPolicy::resolve();
+    let cell = |i: usize| {
+        let _sp = cell_span(base_seed, i);
+        run_isolated(&policy, i, cell_seed(base_seed, i as u64), &|| f(i))
+    };
     if n <= 1 || pool::max_parallelism() == 1 || !cell_parallelism_enabled() {
-        return cells.into_iter().map(|cell| cell()).collect();
+        return (0..n).map(cell).collect();
     }
-    let pending: Vec<Mutex<Option<F>>> = cells.into_iter().map(|c| Mutex::new(Some(c))).collect();
-    let results: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let results: Vec<Mutex<Option<Result<T, CellError>>>> = (0..n).map(|_| Mutex::new(None)).collect();
     pool::parallel_for_with(pool::JobOpts::cell(cell_thread_budget(n)), n, |i| {
-        let cell = pending[i]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take()
-            .expect("cell executed twice");
-        let out = cell();
+        let out = cell(i);
         *results[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(out);
     });
-    collect_results(results)
+    // Poisoned slot locks are recovered: the value, not the lock, is the
+    // source of truth. A missing value names the cell.
+    results
+        .into_iter()
+        .enumerate()
+        .map(|(i, m)| {
+            m.into_inner()
+                .unwrap_or_else(PoisonError::into_inner)
+                .unwrap_or_else(|| panic!("cell {i} produced no result"))
+        })
+        .collect()
 }
 
 /// The thread budget each parallel cell's kernels may use: an explicit
@@ -309,110 +311,6 @@ fn cell_thread_budget(n_cells: usize) -> usize {
 /// The derived per-cell budget for a pool of `threads` running `n_cells`.
 pub(crate) fn auto_cell_budget(threads: usize, n_cells: usize) -> usize {
     threads.div_ceil(n_cells.max(1)).max(1)
-}
-
-/// Collects per-cell result slots in order, recovering poisoned slot locks
-/// (the value, not the lock, is the source of truth) and naming the cell —
-/// instead of surfacing lock-poisoning noise — if one produced no result.
-fn collect_results<T>(results: Vec<Mutex<Option<T>>>) -> Vec<T> {
-    results
-        .into_iter()
-        .enumerate()
-        .map(|(i, m)| {
-            m.into_inner()
-                .unwrap_or_else(PoisonError::into_inner)
-                .unwrap_or_else(|| panic!("cell {i} produced no result"))
-        })
-        .collect()
-}
-
-/// [`run_cells`] with per-cell trace spans: each cell `i` executes inside a
-/// `scheduler.cell` span tagged with its index and the RNG seed
-/// [`cell_seed`]`(base_seed, i)` the runner derives for it, so a drained
-/// trace attributes every interval to a concrete (cell, seed) pair even
-/// when cells interleave across pool workers.
-pub fn run_cells_seeded<'a, T>(base_seed: u64, cells: Vec<Box<dyn FnOnce() -> T + Send + 'a>>) -> Vec<T>
-where
-    T: Send + 'a,
-{
-    let traced: Vec<Box<dyn FnOnce() -> T + Send + 'a>> = cells
-        .into_iter()
-        .enumerate()
-        .map(|(i, cell)| {
-            Box::new(move || {
-                let _sp = cell_span(base_seed, i);
-                cell()
-            }) as Box<dyn FnOnce() -> T + Send + 'a>
-        })
-        .collect();
-    run_cells(traced)
-}
-
-/// [`run_indexed`] with the same per-cell trace spans as
-/// [`run_cells_seeded`].
-pub fn run_indexed_seeded<T, F>(base_seed: u64, n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_indexed(n, move |i| {
-        let _sp = cell_span(base_seed, i);
-        f(i)
-    })
-}
-
-/// Fault-isolated [`run_cells_seeded`]: every cell runs inside
-/// `catch_unwind` with the retry/fault-injection policy from the
-/// environment (`CAE_CELL_RETRIES`, `CAE_FAULT_INJECT`), and the result
-/// vector carries one `Result` per cell in cell order — a panicking cell
-/// never aborts its siblings, and completed work is always returned.
-pub fn run_cells_isolated<'a, T>(base_seed: u64, cells: Vec<Cell<'a, T>>) -> Vec<Result<T, CellError>>
-where
-    T: Send + 'a,
-{
-    let policy = FaultPolicy::resolve();
-    run_cells_isolated_with(&policy, base_seed, cells)
-}
-
-fn run_cells_isolated_with<'a, T>(
-    policy: &FaultPolicy,
-    base_seed: u64,
-    cells: Vec<Cell<'a, T>>,
-) -> Vec<Result<T, CellError>>
-where
-    T: Send + 'a,
-{
-    let cells = &cells;
-    run_indexed(cells.len(), move |i| {
-        let _sp = cell_span(base_seed, i);
-        run_isolated(policy, i, cell_seed(base_seed, i as u64), &*cells[i])
-    })
-}
-
-/// Fault-isolated [`run_indexed_seeded`] (see [`run_cells_isolated`]).
-pub fn run_indexed_isolated<T, F>(base_seed: u64, n: usize, f: F) -> Vec<Result<T, CellError>>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let policy = FaultPolicy::resolve();
-    run_indexed_isolated_with(&policy, base_seed, n, f)
-}
-
-fn run_indexed_isolated_with<T, F>(
-    policy: &FaultPolicy,
-    base_seed: u64,
-    n: usize,
-    f: F,
-) -> Vec<Result<T, CellError>>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_indexed(n, move |i| {
-        let _sp = cell_span(base_seed, i);
-        run_isolated(policy, i, cell_seed(base_seed, i as u64), &|| f(i))
-    })
 }
 
 /// Splits isolated cell outcomes into per-cell optional values (`None` for
@@ -441,24 +339,6 @@ fn cell_span(base_seed: u64, i: usize) -> cae_trace::SpanGuard {
             ("cell_seed", cell_seed(base_seed, i as u64).into()),
         ],
     )
-}
-
-/// Indexed convenience wrapper: runs `f(0..n)` as cells and collects the
-/// results in index order.
-pub fn run_indexed<T, F>(n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if n <= 1 || pool::max_parallelism() == 1 || !cell_parallelism_enabled() {
-        return (0..n).map(f).collect();
-    }
-    let results: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    pool::parallel_for_with(pool::JobOpts::cell(cell_thread_budget(n)), n, |i| {
-        let out = f(i);
-        *results[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(out);
-    });
-    collect_results(results)
 }
 
 #[cfg(test)]
@@ -491,17 +371,19 @@ mod tests {
         assert_ne!(cell_seed(42, 0), 42, "cell 0 must not reuse the base seed");
     }
 
+    /// Unwraps every cell of a run expected to be fault-free.
+    fn all_ok<T>(results: Vec<Result<T, CellError>>) -> Vec<T> {
+        results.into_iter().map(|r| r.expect("cell must succeed")).collect()
+    }
+
     #[test]
-    fn run_cells_preserves_order_and_results() {
-        let cells: Vec<Box<dyn FnOnce() -> u64 + Send>> = (0..23u64)
-            .map(|i| Box::new(move || i * i) as Box<dyn FnOnce() -> u64 + Send>)
-            .collect();
-        let out = run_cells(cells);
+    fn cells_preserve_order_and_results() {
+        let out = all_ok(run_indexed_isolated(0, 23, |i| (i * i) as u64));
         assert_eq!(out, (0..23u64).map(|i| i * i).collect::<Vec<_>>());
     }
 
     #[test]
-    fn run_indexed_matches_serial_execution_with_rng_work() {
+    fn cells_match_serial_execution_with_rng_work() {
         // Each cell draws from its own seeded RNG; parallel and serial
         // execution must agree bit-for-bit.
         let work = |i: usize| {
@@ -509,7 +391,7 @@ mod tests {
             let t = rng.normal_tensor(&[17], 0.0, 1.0);
             t.data().iter().map(|v| v.to_bits() as u64).sum::<u64>()
         };
-        let parallel = run_indexed(33, work);
+        let parallel = all_ok(run_indexed_isolated(7, 33, work));
         let serial: Vec<u64> = (0..33).map(work).collect();
         assert_eq!(parallel, serial);
     }
@@ -521,7 +403,7 @@ mod tests {
         let base = 0xBADC_0FFE_E0DD_F00D_u64;
         let _guard = crate::trace_test_lock();
         cae_trace::force_enabled(true);
-        let used: Vec<u64> = run_indexed_seeded(base, 6, |i| cell_seed(base, i as u64));
+        let used = all_ok(run_indexed_isolated(base, 6, |i| cell_seed(base, i as u64)));
         let trace = cae_trace::drain();
         cae_trace::reset_to_env();
         for (i, &used_seed) in used.iter().enumerate() {
@@ -592,25 +474,15 @@ mod tests {
     #[test]
     fn nested_kernel_parallelism_degrades_inline() {
         // Cells may call parallel_for internally; this must not deadlock.
-        let out = run_indexed(8, |i| {
+        let out = all_ok(run_indexed_isolated(0, 8, |i| {
             let acc = std::sync::atomic::AtomicUsize::new(0);
             cae_tensor::pool::parallel_for(4, |j| {
                 acc.fetch_add(i + j, std::sync::atomic::Ordering::Relaxed);
             });
             acc.into_inner()
-        });
+        }));
         let expect: Vec<usize> = (0..8).map(|i| 4 * i + 6).collect();
         assert_eq!(out, expect);
-    }
-
-    #[test]
-    fn parallelism_values_are_case_insensitive() {
-        for v in ["0", "off", "OFF", "Off", "false", "FALSE", "no", "No", " off "] {
-            assert!(parallelism_disabled_by(v), "{v:?} must disable cell parallelism");
-        }
-        for v in ["1", "on", "true", "yes", "", "anything"] {
-            assert!(!parallelism_disabled_by(v), "{v:?} must leave cell parallelism on");
-        }
     }
 
     #[test]
@@ -626,7 +498,7 @@ mod tests {
 
     #[test]
     fn isolated_cells_capture_panics_and_siblings_complete() {
-        let out = run_indexed_isolated_with(&FaultPolicy::NONE, 9, 8, |i| {
+        let out = run_indexed_isolated(9, 8, |i| {
             if i == 3 {
                 panic!("cell three exploded");
             }
@@ -657,7 +529,7 @@ mod tests {
                 }) as Cell<u64>
             })
             .collect();
-        let out = run_cells_isolated_with(&FaultPolicy::NONE, 3, cells);
+        let out = run_indexed_isolated(3, cells.len(), |i| cells[i]());
         for (i, r) in out.iter().enumerate() {
             if i % 5 == 4 {
                 let e = r.as_ref().expect_err("must fail");
@@ -673,19 +545,21 @@ mod tests {
         // Certain injection with no retries: every cell fails with the
         // injection message.
         let certain = FaultPolicy { retries: 0, inject: Some((1.0, 7)) };
-        let out = run_indexed_isolated_with(&certain, 5, 4, |i| i);
-        for r in &out {
-            let e = r.as_ref().expect_err("certain injection must fail");
+        for i in 0..4 {
+            let e = run_isolated(&certain, i, cell_seed(5, i as u64), &|| i)
+                .expect_err("certain injection must fail");
             assert!(e.message.starts_with("injected fault"), "{}", e.message);
         }
         // Probabilistic injection with ample retries: results must equal a
         // fault-free run exactly (retries re-run the identical seed).
         let flaky = FaultPolicy { retries: 30, inject: Some((0.7, 99)) };
-        let noisy = run_indexed_isolated_with(&flaky, 5, 6, |i| i as u64 + 1);
-        let clean = run_indexed_isolated_with(&FaultPolicy::NONE, 5, 6, |i| i as u64 + 1);
-        let noisy: Vec<u64> = noisy.into_iter().map(|r| r.expect("retries absorb faults")).collect();
-        let clean: Vec<u64> = clean.into_iter().map(|r| r.expect("no faults")).collect();
-        assert_eq!(noisy, clean);
+        let run = |policy: &FaultPolicy| -> Vec<u64> {
+            (0..6)
+                .map(|i| run_isolated(policy, i, cell_seed(5, i as u64), &|| i as u64 + 1))
+                .map(|r| r.expect("retries absorb faults"))
+                .collect()
+        };
+        assert_eq!(run(&flaky), run(&FaultPolicy::NONE));
     }
 
     #[test]
@@ -695,15 +569,15 @@ mod tests {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let attempts = AtomicUsize::new(0);
         let policy = FaultPolicy { retries: 2, inject: None };
-        let out = run_indexed_isolated_with(&policy, 11, 1, |i| {
+        let out = run_isolated(&policy, 0, cell_seed(11, 0), &|| {
             if attempts.fetch_add(1, Ordering::Relaxed) == 0 {
                 panic!("transient failure");
             }
-            let mut rng = TensorRng::seed_from(cell_seed(11, i as u64));
+            let mut rng = TensorRng::seed_from(cell_seed(11, 0));
             rng.uniform().to_bits()
         });
         let mut rng = TensorRng::seed_from(cell_seed(11, 0));
-        assert_eq!(out[0].as_ref().copied(), Ok(rng.uniform().to_bits()));
+        assert_eq!(out, Ok(rng.uniform().to_bits()));
         assert_eq!(attempts.load(Ordering::Relaxed), 2);
     }
 

@@ -72,7 +72,7 @@ pub fn run(budget: &ExperimentBudget) -> Report {
             }
         }
     }
-    let outcomes = scheduler::run_cells_isolated(budget.seed, cells);
+    let outcomes = scheduler::run_indexed_isolated(budget.seed, cells.len(), |i| cells[i]());
     let (accs, failures) = scheduler::split_failures(outcomes);
 
     let mut teacher_row = Vec::new();

@@ -35,7 +35,7 @@ pub fn run(budget: &ExperimentBudget) -> Report {
             distill(preset, pair, spec, budget, idx).student_top1
         }));
     }
-    let outcomes = scheduler::run_cells_isolated(budget.seed, cells);
+    let outcomes = scheduler::run_indexed_isolated(budget.seed, cells.len(), |i| cells[i]());
     let (accs, failures) = scheduler::split_failures(outcomes);
     report.push_row("Teacher", [accs[0].map(|a| a * 100.0)]);
     report.push_row("Student", [accs[1].map(|a| a * 100.0)]);

@@ -72,7 +72,7 @@ pub fn run(budget: &ExperimentBudget) -> Report {
             metrics_row(&m)
         }));
     }
-    let rows = scheduler::run_cells_isolated(budget.seed, cells);
+    let rows = scheduler::run_indexed_isolated(budget.seed, cells.len(), |i| cells[i]());
     let labels: Vec<&str> = ["Teacher", "Student"]
         .into_iter()
         .chain(specs.iter().map(|s| s.name.as_str()))

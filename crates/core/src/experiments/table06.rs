@@ -84,7 +84,7 @@ pub fn run(budget: &ExperimentBudget) -> Report {
             eval_both(run.student.as_ref(), pair.student, 3)
         }));
     }
-    let rows = scheduler::run_cells_isolated(budget.seed, cells);
+    let rows = scheduler::run_indexed_isolated(budget.seed, cells.len(), |i| cells[i]());
     let labels: Vec<&str> = ["Teacher", "Student"]
         .into_iter()
         .chain(specs.iter().map(|s| s.name.as_str()))

@@ -69,7 +69,9 @@ pub mod transfer;
 
 /// Serializes unit tests that force-enable tracing and drain or consume the
 /// process-global trace state — a concurrent test would otherwise steal
-/// another's events or flip the gate mid-run.
+/// another's events or flip the gate mid-run — and tests that run DFKD
+/// training, whose series and gauges a concurrently traced test would
+/// otherwise count as its own.
 #[cfg(test)]
 pub(crate) fn trace_test_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());

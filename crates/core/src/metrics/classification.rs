@@ -1,47 +1,21 @@
 //! Top-1 classification accuracy.
 
 use cae_data::dataset::Dataset;
-use cae_nn::infer::{self, FreezeOptions};
-use cae_nn::module::{Classifier, ForwardCtx};
-use cae_tensor::Var;
+use cae_nn::infer::{FreezeOptions, FrozenClassifier};
+use cae_nn::module::Classifier;
 
 /// Evaluates top-1 accuracy of `model` on `dataset` (evaluation mode,
-/// batched).
-///
-/// The model is compiled into a graph-free frozen forward once for the
-/// whole sweep (it does not change between batches); `CAE_INFER=0` falls
-/// back to the legacy autograd eval path.
+/// batched): the model is compiled into one fused frozen forward for the
+/// whole sweep (it does not change between batches).
 pub fn top1_accuracy(model: &dyn Classifier, dataset: &Dataset, batch_size: usize) -> f32 {
-    let frozen = infer::infer_enabled().then(|| model.freeze_with(&FreezeOptions::from_env()));
-    let mut correct = 0usize;
-    let n = dataset.len();
-    let mut start = 0usize;
-    while start < n {
-        let len = batch_size.min(n - start);
-        let indices: Vec<usize> = (start..start + len).collect();
-        let (x, y) = dataset.batch(&indices);
-        let pred = match &frozen {
-            Some(f) => f.forward(&x).argmax_rows(),
-            None => model
-                .forward(&Var::constant(x), &mut ForwardCtx::eval())
-                .value()
-                .argmax_rows(),
-        };
-        correct += pred.iter().zip(&y).filter(|(p, t)| p == t).count();
-        start += len;
-    }
-    correct as f32 / n.max(1) as f32
+    frozen_top1_accuracy(&model.freeze_with(&FreezeOptions::fused()), dataset, batch_size)
 }
 
 /// Evaluates top-1 accuracy of an already-frozen classifier on `dataset`
 /// (batched). Used where the caller owns the frozen compilation — e.g. the
 /// serve bench comparing one student's f32 and int8 freezes on the same
 /// eval set.
-pub fn frozen_top1_accuracy(
-    frozen: &cae_nn::infer::FrozenClassifier,
-    dataset: &Dataset,
-    batch_size: usize,
-) -> f32 {
+pub fn frozen_top1_accuracy(frozen: &FrozenClassifier, dataset: &Dataset, batch_size: usize) -> f32 {
     let mut correct = 0usize;
     let n = dataset.len();
     let mut start = 0usize;

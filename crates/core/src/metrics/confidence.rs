@@ -1,8 +1,8 @@
 //! Teacher-confidence statistics over synthetic images (paper Fig. 2a).
 
-use cae_nn::infer::{self, FreezeOptions};
-use cae_nn::module::{Classifier, ForwardCtx};
-use cae_tensor::{Tensor, Var};
+use cae_nn::infer::FreezeOptions;
+use cae_nn::module::Classifier;
+use cae_tensor::Tensor;
 
 /// Per-category confidence statistics of a teacher over a labelled set of
 /// (synthetic) images.
@@ -56,13 +56,7 @@ pub fn confidence_profile(
     threshold: f32,
 ) -> ConfidenceProfile {
     assert_eq!(images.shape().dim(0), labels.len(), "one label per image");
-    let logits = if infer::infer_enabled() {
-        teacher.freeze_with(&FreezeOptions::from_env()).forward(images)
-    } else {
-        teacher
-            .forward(&Var::constant(images.clone()), &mut ForwardCtx::eval())
-            .to_tensor()
-    };
+    let logits = teacher.freeze_with(&FreezeOptions::fused()).forward(images);
     let probs = logits.softmax_rows();
     let (n, k) = probs.shape().matrix();
     let mut low = vec![0usize; num_classes];

@@ -100,6 +100,7 @@ mod tests {
 
     #[test]
     fn smoke_dfkd_run_distills_above_chance() {
+        let _guard = crate::trace_test_lock();
         let budget = ExperimentBudget::smoke();
         let run = run_dfkd(
             ClassificationPreset::C10Sim,

@@ -17,7 +17,7 @@
 
 use crate::config::ExperimentBudget;
 use cae_data::dataset::Dataset;
-use cae_nn::infer::{FreezeMode, FrozenClassifier};
+use cae_nn::infer::{FreezeOptions, FrozenClassifier};
 use cae_nn::loss::cross_entropy;
 use cae_nn::models::Arch;
 use cae_nn::module::{copy_state, Classifier, ForwardCtx};
@@ -27,8 +27,8 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// One cache entry: a lazily trained master model plus lazily compiled
-/// frozen forms (one per [`FreezeMode`]). The outer map hands out
+/// One cache entry: a lazily trained master model plus its lazily compiled
+/// fused frozen form. The outer map hands out
 /// `Arc<Slot>`s under a short-lived lock; the expensive pre-training runs
 /// inside `get_or_init` without holding the map lock, so cells requesting
 /// *different* teachers train in parallel while cells requesting the *same*
@@ -36,8 +36,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 #[derive(Default)]
 struct Slot {
     master: OnceLock<Box<dyn Classifier>>,
-    frozen_exact: OnceLock<Arc<FrozenClassifier>>,
-    frozen_fused: OnceLock<Arc<FrozenClassifier>>,
+    frozen: OnceLock<Arc<FrozenClassifier>>,
 }
 
 fn cache() -> &'static Mutex<HashMap<String, Arc<Slot>>> {
@@ -129,31 +128,27 @@ pub fn pretrained(
     )
 }
 
-/// Like [`pretrained`], but returns a shared [`FrozenClassifier`] compiled
-/// from the cached master under `mode`.
+/// Like [`pretrained`], but returns a shared fused [`FrozenClassifier`]
+/// compiled from the cached master.
 ///
 /// Frozen models are immutable (plain tensors, no gradient buffers), so a
-/// single compiled instance per `(key, mode)` is shared by all callers via
-/// `Arc` — no per-call structural clone, no per-call BN folding.
+/// single compiled instance per key is shared by all callers via `Arc` —
+/// no per-call structural clone, no per-call BN folding.
 pub fn pretrained_frozen(
     key_prefix: &str,
     arch: Arch,
     dataset: &Dataset,
     budget: &ExperimentBudget,
     batch_size: usize,
-    mode: FreezeMode,
 ) -> Arc<FrozenClassifier> {
     let slot = acquire_trained_slot(key_prefix, arch, dataset, budget, batch_size);
     let master = slot.master.get().expect("slot was just initialized");
-    let cell = match mode {
-        FreezeMode::Exact => &slot.frozen_exact,
-        FreezeMode::Fused => &slot.frozen_fused,
-    };
-    cell.get_or_init(|| {
-        let _sp = cae_trace::span("teacher.freeze");
-        Arc::new(master.freeze_with(&cae_nn::infer::FreezeOptions::with_mode(mode)))
-    })
-    .clone()
+    slot.frozen
+        .get_or_init(|| {
+            let _sp = cae_trace::span("teacher.freeze");
+            Arc::new(master.freeze_with(&FreezeOptions::fused()))
+        })
+        .clone()
 }
 
 /// Returns the slot for the cache key, training the master on first use.
@@ -270,22 +265,18 @@ mod tests {
     }
 
     #[test]
-    fn pretrained_frozen_shares_one_compiled_instance_per_mode() {
+    fn pretrained_frozen_shares_one_compiled_instance() {
         let split = ClassificationPreset::C10Sim.generate(21);
         let tiny = ExperimentBudget::smoke();
-        let a = pretrained_frozen("t-frozen", Arch::Wrn16x1, &split.train, &tiny, 16, FreezeMode::Fused);
-        let b = pretrained_frozen("t-frozen", Arch::Wrn16x1, &split.train, &tiny, 16, FreezeMode::Fused);
-        assert!(Arc::ptr_eq(&a, &b), "same (key, mode) must share one frozen instance");
+        let a = pretrained_frozen("t-frozen", Arch::Wrn16x1, &split.train, &tiny, 16);
+        let b = pretrained_frozen("t-frozen", Arch::Wrn16x1, &split.train, &tiny, 16);
+        assert!(Arc::ptr_eq(&a, &b), "same key must share one frozen instance");
         assert_eq!(pretrain_runs_for("t-frozen"), 1, "freezing must not retrain");
-        // The exact-mode frozen forward matches the Var master bit-for-bit.
+        // The shared instance is the fused compile of the cached master.
         let master = pretrained("t-frozen", Arch::Wrn16x1, &split.train, &tiny, 16);
         let (x, _) = split.test.batch(&[0, 1]);
-        let reference = master
-            .forward(&cae_tensor::Var::constant(x.clone()), &mut ForwardCtx::eval())
-            .to_tensor();
-        let exact =
-            pretrained_frozen("t-frozen", Arch::Wrn16x1, &split.train, &tiny, 16, FreezeMode::Exact);
-        assert_eq!(exact.forward(&x).data(), reference.data());
+        let reference = master.freeze_with(&FreezeOptions::fused()).forward(&x);
+        assert_eq!(a.forward(&x).data(), reference.data());
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::embedding::EmbeddingProvider;
 use crate::losses::{adversarial_loss, bn_loss};
 use crate::memory::MemoryBank;
 use crate::method::{EmbeddingKind, MethodSpec, StudentAug};
-use cae_nn::infer::{self, FreezeOptions, FrozenClassifier};
+use cae_nn::infer::{FreezeOptions, FrozenClassifier};
 use cae_nn::loss::{cross_entropy, kd_kl_divergence};
 use cae_nn::models::{DfkdGenerator, GeneratorConfig};
 use cae_nn::module::{Classifier, ForwardCtx, Generator, Module};
@@ -60,9 +60,8 @@ pub struct DfkdTrainer<'a> {
     teacher: &'a dyn Classifier,
     /// Graph-free compiled teacher for eval-mode forwards (teacher weights
     /// never change during DFKD, so one compile in [`DfkdTrainer::new`]
-    /// serves the whole run). `None` when `CAE_INFER=0` routes eval
-    /// forwards through the legacy autograd path.
-    frozen_teacher: Option<FrozenClassifier>,
+    /// serves the whole run).
+    frozen_teacher: FrozenClassifier,
     student: Box<dyn Classifier>,
     generator: DfkdGenerator,
     provider: EmbeddingProvider,
@@ -119,8 +118,7 @@ impl<'a> DfkdTrainer<'a> {
         let memory = MemoryBank::new(config.memory_capacity, &[3, resolution, resolution]);
         DfkdTrainer {
             teacher_params: teacher.parameters(),
-            frozen_teacher: infer::infer_enabled()
-                .then(|| teacher.freeze_with(&FreezeOptions::from_env())),
+            frozen_teacher: teacher.freeze_with(&FreezeOptions::fused()),
             teacher,
             student,
             generator,
@@ -159,18 +157,6 @@ impl<'a> DfkdTrainer<'a> {
         (0..n).map(|_| self.rng.index(self.num_classes)).collect()
     }
 
-    /// Teacher logits for a synthetic batch: graph-free frozen forward when
-    /// the infer layer is enabled, legacy autograd eval forward otherwise.
-    fn teacher_logits(&self, images: &Tensor) -> Tensor {
-        match &self.frozen_teacher {
-            Some(frozen) => frozen.forward(images),
-            None => self
-                .teacher
-                .forward(&Var::constant(images.clone()), &mut ForwardCtx::eval())
-                .to_tensor(),
-        }
-    }
-
     /// One generator update (Eq. 5). Returns the generator loss. For
     /// optimization-based specs this runs pixel inversion instead and
     /// returns the final inversion teacher cross-entropy.
@@ -188,7 +174,7 @@ impl<'a> DfkdTrainer<'a> {
                 InversionConfig::default(),
                 &mut self.rng,
             );
-            let logits = Var::constant(self.teacher_logits(&images));
+            let logits = Var::constant(self.frozen_teacher.forward(&images));
             let ce = cross_entropy(&logits, &labels).item();
             self.memory.push_batch(&images, &labels);
             self.zero_teacher_grads();
@@ -262,7 +248,7 @@ impl<'a> DfkdTrainer<'a> {
             _ => raw_images.clone(),
         };
 
-        let teacher_logits = self.teacher_logits(&images);
+        let teacher_logits = self.frozen_teacher.forward(&images);
         let x = Var::constant(images);
         let student_logits = self.student.forward(&x, &mut ForwardCtx::train());
         let mut loss = kd_kl_divergence(&student_logits, &teacher_logits, self.config.temperature);
@@ -410,19 +396,8 @@ impl<'a> DfkdTrainer<'a> {
             // probe; the teacher reuses the trainer's one-time compile.
             let labels = self.random_labels(self.config.batch_size);
             let latent = self.provider.sample(&labels, &mut self.rng);
-            let logits = match &self.frozen_teacher {
-                Some(frozen) => {
-                    let images = self.generator.freeze_with(&FreezeOptions::from_env()).generate(&latent);
-                    frozen.forward(&images)
-                }
-                None => {
-                    let z = Var::constant(latent);
-                    let images = self.generator.generate(&z, &mut ForwardCtx::eval()).detach();
-                    self.teacher
-                        .forward(&images, &mut ForwardCtx::eval())
-                        .to_tensor()
-                }
-            };
+            let images = self.generator.freeze_with(&FreezeOptions::fused()).generate(&latent);
+            let logits = self.frozen_teacher.forward(&images);
             let probs = logits.softmax_rows();
             let (n, k) = probs.shape().matrix();
             let mean_max: f32 = (0..n)
@@ -552,6 +527,7 @@ mod tests {
 
     #[test]
     fn generator_step_fills_memory_and_returns_finite_loss() {
+        let _guard = crate::trace_test_lock();
         let (teacher, _) = tiny_setup();
         let mut t = tiny_trainer(teacher.as_ref(), &MethodSpec::cae_dfkd(3));
         let loss = t.generator_step();
@@ -561,6 +537,7 @@ mod tests {
 
     #[test]
     fn student_step_requires_memory() {
+        let _guard = crate::trace_test_lock();
         let (teacher, _) = tiny_setup();
         let mut t = tiny_trainer(teacher.as_ref(), &MethodSpec::vanilla());
         assert!(t.student_step().is_none());
@@ -570,6 +547,7 @@ mod tests {
 
     #[test]
     fn full_run_produces_stats_for_all_method_variants() {
+        let _guard = crate::trace_test_lock();
         let (teacher, _) = tiny_setup();
         let budget = ExperimentBudget::smoke();
         for spec in [
@@ -654,6 +632,7 @@ mod tests {
 
     #[test]
     fn deepinv_spec_runs_without_generator_training() {
+        let _guard = crate::trace_test_lock();
         let (teacher, _) = tiny_setup();
         let budget = ExperimentBudget::smoke();
         let mut t = tiny_trainer(teacher.as_ref(), &MethodSpec::deepinv_like());
@@ -663,6 +642,7 @@ mod tests {
 
     #[test]
     fn generator_losses_trend_downward_for_cae() {
+        let _guard = crate::trace_test_lock();
         let (teacher, _) = tiny_setup();
         let mut t = tiny_trainer(teacher.as_ref(), &MethodSpec::cae_dfkd(3));
         let mut losses = Vec::new();

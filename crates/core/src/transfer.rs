@@ -14,7 +14,7 @@ use crate::metrics::detection::{coco_map, mean_ap, Detection, SizeBucket};
 use crate::metrics::normals::NormalErrors;
 use crate::metrics::seg::SegConfusion;
 use cae_data::dense::{BBox, DenseDataset};
-use cae_nn::infer::{self, FreezeOptions};
+use cae_nn::infer::FreezeOptions;
 use cae_nn::layers::Conv2d;
 use cae_nn::loss::cross_entropy;
 use cae_nn::module::{Classifier, ForwardCtx, Module};
@@ -354,10 +354,9 @@ pub fn finetune(
 /// The backbone — the expensive part of each batch — is compiled into a
 /// graph-free frozen forward once per call (weights do not change during
 /// evaluation); the small task heads stay on the autograd path over the
-/// frozen features. `CAE_INFER=0` falls back to the legacy Var backbone.
+/// frozen features.
 pub fn evaluate(model: &DenseModel, test: &DenseDataset, batch_size: usize) -> TransferMetrics {
-    let frozen_backbone =
-        infer::infer_enabled().then(|| model.backbone.freeze_with(&FreezeOptions::from_env()));
+    let frozen_backbone = model.backbone.freeze_with(&FreezeOptions::fused());
     let res = test.resolution();
     let mut seg_conf = SegConfusion::new(model.num_seg_classes.max(1));
     let mut depth_err = DepthErrors::new();
@@ -370,14 +369,9 @@ pub fn evaluate(model: &DenseModel, test: &DenseDataset, batch_size: usize) -> T
         let indices: Vec<usize> = (start..start + len).collect();
         let xt = test.image_batch(&indices);
         let mut ctx = ForwardCtx::eval();
-        let (feat, grid) = match &frozen_backbone {
-            Some(frozen) => {
-                let spatial = frozen.forward_spatial(&xt);
-                let grid = spatial.shape().dim(2);
-                (Var::constant(spatial), grid)
-            }
-            None => model.features(&Var::constant(xt), &mut ctx),
-        };
+        let spatial = frozen_backbone.forward_spatial(&xt);
+        let grid = spatial.shape().dim(2);
+        let feat = Var::constant(spatial);
 
         if let Some(head) = &model.seg_head {
             let logits = model.upsample_to(&head.forward(&feat, &mut ctx), res);

@@ -9,28 +9,24 @@
 //! over plain [`Tensor`]s: no `Arc`/`RwLock` node per op, no tape, just the
 //! SIMD `vecmath`/GEMM kernels the autograd forwards already bottom out in.
 //!
-//! Two freeze modes, selected by [`FreezeMode`] (default read from the
-//! `CAE_FUSE` environment variable):
+//! Two freeze modes, selected by [`FreezeMode`] through [`FreezeOptions`]:
 //!
 //! * [`FreezeMode::Exact`] replays the evaluation-mode autograd forward
 //!   kernel for kernel — the same conv → four-pass BN-eval → activation
 //!   sequence, in the same per-channel loop order, on the same dispatched
 //!   kernels — so outputs are **bit-identical** to
-//!   `Module::forward(.., &mut ForwardCtx::eval())`. `tier1.sh` gates this
-//!   with a byte-diff of a whole experiment report.
-//! * [`FreezeMode::Fused`] (the default) folds each conv's following
-//!   batch-norm into adjusted weights/bias, fuses ReLU/leaky-ReLU epilogues
-//!   into the conv bias pass ([`cae_tensor::conv::conv2d_fused`]), and
-//!   collapses standalone BN layers into a single fma scale-shift pass.
-//!   Results agree with the exact path within the tolerance documented in
+//!   `Module::forward(.., &mut ForwardCtx::eval())`. `tests/frozen_parity.rs`
+//!   gates this for every architecture; it is the reference the fused mode
+//!   is checked against, and `cae-dfkd freeze --mode exact` exports it.
+//! * [`FreezeMode::Fused`] (the default, and what every eval forward in the
+//!   stack uses) folds each conv's following batch-norm into adjusted
+//!   weights/bias, fuses ReLU/leaky-ReLU epilogues into the conv bias pass
+//!   ([`cae_tensor::conv::conv2d_fused`]), and collapses standalone BN
+//!   layers into a single fma scale-shift pass. Results agree with the
+//!   exact path within the tolerance documented in
 //!   `tests/frozen_parity.rs` (|a−b| ≤ 1e-4 + 1e-3·|b|): the only rounding
 //!   differences are one fma per folded op and the algebraic rearrangement
 //!   `γ·(x−μ)·σ⁻¹+β → x·s+t`.
-//!
-//! Call sites opt out of the frozen path entirely with `CAE_INFER=0`
-//! (see [`infer_enabled`]), which routes eval forwards back through the
-//! legacy autograd path — the reference the tier-1 byte-diff compares
-//! against.
 //!
 //! Frozen models round-trip to disk through [`crate::serialize`]
 //! (`frozen_to_json` / `frozen_classifier_from_json`): this is the seam a
@@ -53,47 +49,6 @@ pub enum FreezeMode {
 }
 
 serde::impl_json_unit_enum!(FreezeMode { Exact, Fused });
-
-/// Shared disable-token rule for boolean `CAE_*` variables: `0`, `off`,
-/// `false` and `no`, case-insensitively, surrounding whitespace ignored
-/// (the same convention as `CAE_CELL_PARALLEL` and `CAE_SIMD`).
-fn env_disabled(var: &str) -> bool {
-    match std::env::var(var) {
-        Ok(v) => matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "0" | "off" | "false" | "no"
-        ),
-        Err(_) => false,
-    }
-}
-
-impl FreezeMode {
-    /// Reads the mode from `CAE_FUSE`: `0`/`off`/`false`/`no` selects
-    /// [`FreezeMode::Exact`], anything else (including unset) selects
-    /// [`FreezeMode::Fused`]. Parsed once per process (the snapshot
-    /// surfaced by `cae_core::config::Config`); tests exercising both modes
-    /// pass them explicitly instead of mutating the environment.
-    pub fn from_env() -> Self {
-        static MODE: std::sync::OnceLock<FreezeMode> = std::sync::OnceLock::new();
-        *MODE.get_or_init(|| {
-            if env_disabled("CAE_FUSE") {
-                FreezeMode::Exact
-            } else {
-                FreezeMode::Fused
-            }
-        })
-    }
-}
-
-/// Whether eval-mode call sites should route through frozen models at all.
-///
-/// `CAE_INFER=0`/`off`/`false`/`no` restores the legacy `Var`-based eval
-/// forwards; anything else (including unset) enables the frozen path.
-/// Parsed once per process.
-pub fn infer_enabled() -> bool {
-    static ENABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ENABLED.get_or_init(|| !env_disabled("CAE_INFER"))
-}
 
 /// How to compile a module into a frozen program: the [`FreezeMode`] plus
 /// optional int8 weight quantization. Replaces the old positional
@@ -128,11 +83,6 @@ impl FreezeOptions {
     /// Options for an explicit mode, no quantization.
     pub fn with_mode(mode: FreezeMode) -> Self {
         FreezeOptions { mode, quantize: None }
-    }
-
-    /// Mode from `CAE_FUSE` (see [`FreezeMode::from_env`]), no quantization.
-    pub fn from_env() -> Self {
-        FreezeOptions::with_mode(FreezeMode::from_env())
     }
 
     /// Adds int8 per-output-channel symmetric weight quantization.
@@ -1182,14 +1132,6 @@ impl serde::Deserialize for FrozenOp {
 mod tests {
     use super::*;
     use serde::Serialize;
-
-    #[test]
-    fn freeze_mode_env_parsing() {
-        // Uses explicit matches rather than env mutation (tests run in
-        // parallel threads sharing the process environment).
-        assert_eq!(FreezeMode::Fused, FreezeMode::from_env());
-        assert!(infer_enabled());
-    }
 
     #[test]
     fn activation_serde_roundtrip() {

@@ -148,12 +148,6 @@ pub trait Classifier: Module {
     /// folding mode plus optional int8 weight quantization (see
     /// [`crate::infer`] for the semantics of each).
     fn freeze_with(&self, opts: &crate::infer::FreezeOptions) -> crate::infer::FrozenClassifier;
-
-    /// Mode-only freeze, superseded by [`Classifier::freeze_with`].
-    #[deprecated(note = "use freeze_with(&FreezeOptions::with_mode(mode)) instead")]
-    fn freeze(&self, mode: crate::infer::FreezeMode) -> crate::infer::FrozenClassifier {
-        self.freeze_with(&crate::infer::FreezeOptions::with_mode(mode))
-    }
 }
 
 /// An image generator mapping latent embeddings to images in `[-1, 1]`.
@@ -169,12 +163,6 @@ pub trait Generator: Module {
     /// generation. [`FreezeOptions`](crate::infer::FreezeOptions) carries
     /// the folding mode plus optional int8 weight quantization.
     fn freeze_with(&self, opts: &crate::infer::FreezeOptions) -> crate::infer::FrozenGenerator;
-
-    /// Mode-only freeze, superseded by [`Generator::freeze_with`].
-    #[deprecated(note = "use freeze_with(&FreezeOptions::with_mode(mode)) instead")]
-    fn freeze(&self, mode: crate::infer::FreezeMode) -> crate::infer::FrozenGenerator {
-        self.freeze_with(&crate::infer::FreezeOptions::with_mode(mode))
-    }
 }
 
 #[cfg(test)]

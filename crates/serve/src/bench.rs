@@ -241,6 +241,15 @@ mod tests {
     use super::*;
     use cae_nn::infer::{Activation, FrozenOp};
 
+    /// Held by every test that calls `run_open_loop`/`run_closed_loop`:
+    /// both reset the process-wide phase histograms, so two overlapping
+    /// runs can clear each other's samples before they are read.
+    static SERVE_RUNS: Mutex<()> = Mutex::new(());
+
+    fn lock_serve_runs() -> std::sync::MutexGuard<'static, ()> {
+        SERVE_RUNS.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn tiny_model() -> FrozenClassifier {
         let n = 2 * 2 * 9;
         let weight =
@@ -260,6 +269,7 @@ mod tests {
 
     #[test]
     fn open_and_closed_loop_serve_identical_predictions() {
+        let _runs = lock_serve_runs();
         let trace = RequestTrace::synthetic(24, 2, 5, 11);
         let closed = run_closed_loop(
             tiny_model(),
@@ -303,6 +313,7 @@ mod tests {
     fn phase_stats_come_from_the_histograms() {
         // Force metrics on for this run: the driver's phases must be the
         // histogram-derived view, one entry per pipeline phase.
+        let _runs = lock_serve_runs();
         metrics::force_enabled(true);
         let trace = RequestTrace::synthetic(16, 2, 5, 23);
         let run = run_open_loop(
@@ -312,9 +323,9 @@ mod tests {
             2,
         );
         metrics::reset_to_env();
-        // Concurrent tests may interleave their own serve runs (and their
-        // drivers reset the shared histograms), so require presence and
-        // ordering rather than exact counts.
+        // Other tests' servers may still record into the shared
+        // histograms, so require presence and ordering rather than exact
+        // counts.
         assert!(!run.phases.is_empty(), "metrics were on, phases must be populated");
         let names: Vec<&str> = run.phases.iter().map(|p| p.phase).collect();
         for name in &names {

@@ -176,29 +176,11 @@ fn tuner() -> MutexGuard<'static, Tuner> {
         .unwrap_or_else(PoisonError::into_inner)
 }
 
-/// `1`/unset = on; `0`, `off`, `false`, `no` = off (same off-tokens as the
-/// other CAE_* switches).
-fn env_on(var: &str) -> bool {
-    !std::env::var(var).is_ok_and(|v| {
-        matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "0" | "off" | "false" | "no"
-        )
-    })
-}
-
 fn default_cache_path() -> Option<PathBuf> {
-    match std::env::var("CAE_AUTOTUNE_CACHE") {
-        Ok(v)
-            if matches!(
-                v.trim().to_ascii_lowercase().as_str(),
-                "0" | "off" | "false" | "no"
-            ) =>
-        {
-            None
-        }
-        Ok(path) => Some(PathBuf::from(path)),
-        Err(_) => Some(std::env::temp_dir().join(format!("cae_autotune_{}.txt", fingerprint()))),
+    match cae_trace::knob::raw("CAE_AUTOTUNE_CACHE") {
+        Some(v) if cae_trace::knob::is_off(&v) => None,
+        Some(path) => Some(PathBuf::from(path)),
+        None => Some(std::env::temp_dir().join(format!("cae_autotune_{}.txt", fingerprint()))),
     }
 }
 
@@ -297,7 +279,7 @@ pub fn enabled() -> bool {
         2 => true,
         _ => {
             static FROM_ENV: OnceLock<bool> = OnceLock::new();
-            *FROM_ENV.get_or_init(|| env_on("CAE_AUTOTUNE"))
+            *FROM_ENV.get_or_init(|| !cae_trace::knob::off("CAE_AUTOTUNE"))
         }
     }
 }

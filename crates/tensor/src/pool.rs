@@ -246,11 +246,7 @@ fn pool() -> &'static Pool {
     POOL.get_or_init(|| {
         let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
         let threads = match FORCED_POOL_SIZE.load(Ordering::Relaxed) {
-            0 => std::env::var("CAE_NUM_THREADS")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-                .filter(|&n| n >= 1)
-                .unwrap_or(hw),
+            0 => cae_trace::knob::positive("CAE_NUM_THREADS").unwrap_or(hw),
             forced => forced,
         };
         let shared = Arc::new(Shared {

@@ -247,26 +247,26 @@ pub fn detected_backend() -> Backend {
     Backend::Scalar
 }
 
-/// Parses a `CAE_SIMD` value. Disable tokens follow the same
-/// case-insensitive convention as `CAE_CELL_PARALLEL` (`0`, `off`,
-/// `false`, `no`), all forcing the scalar backend; `scalar`/`avx2`/`neon`
-/// name a backend explicitly. Unknown values and unsupported backends fall
-/// back to auto-detection so a stale override can never crash a run.
+/// Parses a `CAE_SIMD` value. The shared disable tokens
+/// ([`cae_trace::knob::is_off`]) force the scalar backend, as does
+/// `scalar`; `avx2`/`neon` name a backend explicitly (case-insensitive).
+/// Unknown values and unsupported backends fall back to auto-detection so
+/// a stale override can never crash a run.
 fn parse_override(value: &str) -> Option<Backend> {
     let requested = match value.trim().to_ascii_lowercase().as_str() {
-        "0" | "off" | "false" | "no" | "scalar" => Backend::Scalar,
+        "scalar" => Backend::Scalar,
         "avx2" => Backend::Avx2,
         "neon" => Backend::Neon,
+        _ if cae_trace::knob::is_off(value) => Backend::Scalar,
         _ => return None,
     };
     requested.supported().then_some(requested)
 }
 
 fn init_backend() -> Backend {
-    match std::env::var("CAE_SIMD") {
-        Ok(v) => parse_override(&v).unwrap_or_else(detected_backend),
-        Err(_) => detected_backend(),
-    }
+    cae_trace::knob::raw("CAE_SIMD")
+        .and_then(|v| parse_override(&v))
+        .unwrap_or_else(detected_backend)
 }
 
 /// The backend every dispatched kernel in this process uses.

@@ -45,9 +45,10 @@
 //!
 //! ## Enabling
 //!
-//! Reads `CAE_TRACE` once on first use: `1`, `true` or `on` enable
-//! tracing. Tests and benchmarks can override with [`force_enabled`] and
-//! return to the environment's setting with [`reset_to_env`].
+//! Reads `CAE_TRACE` once on first use through the [`knob`] grammar's
+//! opt-in rule: `1`, `true`, `on` or `yes` enable tracing. Tests and
+//! benchmarks can override with [`force_enabled`] and return to the
+//! environment's setting with [`reset_to_env`].
 //!
 //! ## Export
 //!
@@ -56,6 +57,7 @@
 //! (`TRACE_<stem>.json`) next to the experiment report JSONs.
 
 pub mod health;
+pub mod knob;
 pub mod metrics;
 pub mod profile;
 
@@ -77,23 +79,20 @@ const STATE_ON: u8 = 2;
 
 static STATE: AtomicU8 = AtomicU8::new(STATE_UNINIT);
 
-pub(crate) fn env_wants_tracing() -> bool {
-    match std::env::var("CAE_TRACE") {
-        Ok(v) => matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "1" | "true" | "on" | "yes"
-        ),
-        Err(_) => false,
-    }
-}
-
 #[cold]
 fn init_from_env() -> bool {
-    let on = env_wants_tracing();
-    // Racing initializers agree (the env does not change), so a plain
-    // store is fine.
-    STATE.store(if on { STATE_ON } else { STATE_OFF }, Ordering::Relaxed);
-    on
+    latch(&STATE, knob::opt_in("CAE_TRACE"))
+}
+
+/// Latches an enablement state read from the environment — unless a
+/// [`force_enabled`]-style override landed while the environment was being
+/// read, which must win (a plain store here would silently undo it).
+pub(crate) fn latch(state: &AtomicU8, on: bool) -> bool {
+    let value = if on { STATE_ON } else { STATE_OFF };
+    match state.compare_exchange(STATE_UNINIT, value, Ordering::Relaxed, Ordering::Relaxed) {
+        Ok(_) => on,
+        Err(current) => current == STATE_ON,
+    }
 }
 
 /// Whether tracing is currently enabled. One relaxed atomic load on the
@@ -301,19 +300,23 @@ fn buffers() -> &'static Mutex<Vec<Arc<ThreadBuf>>> {
     BUFFERS.get_or_init(|| Mutex::new(Vec::new()))
 }
 
+/// Default per-thread cap for span events and for series points.
+const DEFAULT_CAP: usize = 65_536;
+
 // Caps start at 0 (= uninitialized) and latch the env value on first use;
 // `raise_event_cap` can overwrite before or after that, so the cap is a
 // plain atomic rather than a `OnceLock`.
 static MAX_EVENTS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
 
+/// The cap the user pinned with a valid `CAE_TRACE_MAX_EVENTS`, if any.
+fn pinned_event_cap() -> Option<usize> {
+    knob::positive("CAE_TRACE_MAX_EVENTS")
+}
+
 fn max_events_per_thread() -> usize {
     match MAX_EVENTS.load(Ordering::Relaxed) {
         0 => {
-            let n = std::env::var("CAE_TRACE_MAX_EVENTS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .filter(|&n| n > 0)
-                .unwrap_or(65_536);
+            let n = pinned_event_cap().unwrap_or(DEFAULT_CAP);
             MAX_EVENTS.store(n, Ordering::Relaxed);
             n
         }
@@ -332,7 +335,7 @@ pub fn event_cap() -> usize {
 /// Used by the profiler, whose forced-on traces would otherwise truncate at
 /// the default cap.
 pub fn raise_event_cap(n: usize) {
-    if std::env::var("CAE_TRACE_MAX_EVENTS").is_ok() {
+    if pinned_event_cap().is_some() {
         return;
     }
     MAX_EVENTS.store(max_events_per_thread().max(n), Ordering::Relaxed);
@@ -340,12 +343,7 @@ pub fn raise_event_cap(n: usize) {
 
 fn series_cap_per_thread() -> usize {
     static MAX: OnceLock<usize> = OnceLock::new();
-    *MAX.get_or_init(|| {
-        std::env::var("CAE_TRACE_SERIES_CAP")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(65_536)
-    })
+    *MAX.get_or_init(|| knob::positive("CAE_TRACE_SERIES_CAP").unwrap_or(DEFAULT_CAP))
 }
 
 /// The effective per-thread series-point cap (`CAE_TRACE_SERIES_CAP`,

@@ -45,15 +45,11 @@ use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use crate::GaugeStat;
+use crate::{GaugeStat, STATE_OFF, STATE_ON, STATE_UNINIT};
 
 // ---------------------------------------------------------------------------
 // Enablement
 // ---------------------------------------------------------------------------
-
-const STATE_UNINIT: u8 = 0;
-const STATE_OFF: u8 = 1;
-const STATE_ON: u8 = 2;
 
 static STATE: AtomicU8 = AtomicU8::new(STATE_UNINIT);
 
@@ -61,19 +57,12 @@ static STATE: AtomicU8 = AtomicU8::new(STATE_UNINIT);
 /// per process (`None` when unset, non-numeric, or zero).
 pub fn interval_ms() -> Option<u64> {
     static INTERVAL: OnceLock<Option<u64>> = OnceLock::new();
-    *INTERVAL.get_or_init(|| {
-        std::env::var("CAE_METRICS_INTERVAL_MS")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .filter(|&ms| ms > 0)
-    })
+    *INTERVAL.get_or_init(|| crate::knob::positive("CAE_METRICS_INTERVAL_MS").map(|ms| ms as u64))
 }
 
 #[cold]
 fn init_from_env() -> bool {
-    let on = crate::env_wants_tracing() || interval_ms().is_some();
-    STATE.store(if on { STATE_ON } else { STATE_OFF }, Ordering::Relaxed);
-    on
+    crate::latch(&STATE, crate::knob::opt_in("CAE_TRACE") || interval_ms().is_some())
 }
 
 /// Whether histogram recording is enabled: one relaxed atomic load on the

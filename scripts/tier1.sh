@@ -35,17 +35,10 @@ test -s "$trace_tmp/on/TRACE_table_ii.json"
 CAE_BUDGET=smoke CAE_TRACE=0 CAE_SIMD=scalar CAE_RESULTS_DIR="$trace_tmp/scalar" \
   cargo run --release --offline -p cae-bench --bin table02 >/dev/null
 cmp "$trace_tmp/off/table_ii.json" "$trace_tmp/scalar/table_ii.json"
-# Inference-path bit-identity: with fusion disabled (CAE_FUSE=0) the frozen
-# graph must reproduce the legacy Var-based eval path (CAE_INFER=0 routes
-# every eval forward through the pre-refactor code) byte-for-byte across a
-# full table run.
-CAE_BUDGET=smoke CAE_TRACE=0 CAE_INFER=0 CAE_RESULTS_DIR="$trace_tmp/legacy" \
-  cargo run --release --offline -p cae-bench --bin table02 >/dev/null
-CAE_BUDGET=smoke CAE_TRACE=0 CAE_FUSE=0 CAE_RESULTS_DIR="$trace_tmp/unfused" \
-  cargo run --release --offline -p cae-bench --bin table02 >/dev/null
-cmp "$trace_tmp/legacy/table_ii.json" "$trace_tmp/unfused/table_ii.json"
-# ... and the frozen-graph parity suite must hold under both the scalar and
-# the auto-detected SIMD backend.
+# Inference-path bit-identity: exact-mode frozen graphs must reproduce the
+# Var eval forward bit-for-bit for every model (and fused graphs stay within
+# tolerance of them), under both the scalar and the auto-detected SIMD
+# backend.
 CAE_SIMD=scalar cargo test --release --offline -p cae-nn --test frozen_parity -q
 cargo test --release --offline -p cae-nn --test frozen_parity -q
 # Fault isolation: with deterministic injection and no retries the table

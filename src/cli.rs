@@ -149,12 +149,9 @@ impl Command {
     /// # Errors
     /// Returns an error for unknown budget names.
     pub fn budget_or(&self, default: &str) -> Result<ExperimentBudget, ParseArgsError> {
-        match self.str_or("budget", default) {
-            "smoke" => Ok(ExperimentBudget::smoke()),
-            "fast" => Ok(ExperimentBudget::fast()),
-            "full" => Ok(ExperimentBudget::full()),
-            other => Err(err(format!("unknown budget '{other}' (smoke|fast|full)"))),
-        }
+        let name = self.str_or("budget", default);
+        ExperimentBudget::from_name(name)
+            .ok_or_else(|| err(format!("unknown budget '{name}' (smoke|fast|full)")))
     }
 
     /// The experiment id for id-taking subcommands: the positional argument
@@ -298,9 +295,8 @@ training-health verdict (NaN/Inf, divergence, plateau) per recorded series
 model (conv+BN folded under --mode fused, the default; --mode exact keeps
 layers separate and matches the autograd eval path bit-for-bit; --mode
 int8 additionally quantizes weights to int8 per-output-channel) and writes
-it as self-describing JSON. Eval paths inside `distill`/`evaluate`/`table`
-freeze automatically; set CAE_INFER=0 to force the legacy autograd eval
-path or CAE_FUSE=0 to freeze without folding.
+it as self-describing JSON. Every eval forward inside `distill`/`evaluate`/
+`table` runs on a fused frozen graph compiled the same way.
 
 `serve-bench` runs the dynamic-batching inference server over a frozen
 student: a one-request-at-a-time sequential baseline, then an open-loop
@@ -390,10 +386,11 @@ mod tests {
     }
 
     #[test]
-    fn help_documents_freeze_and_its_env_escapes() {
+    fn help_documents_freeze_modes() {
         assert!(HELP.contains("cae-dfkd freeze"));
-        assert!(HELP.contains("CAE_INFER=0"));
-        assert!(HELP.contains("CAE_FUSE=0"));
+        assert!(HELP.contains("[--mode exact|fused|int8]"));
+        assert!(HELP.contains("fused frozen graph"));
+        assert!(!HELP.contains("CAE_INFER") && !HELP.contains("CAE_FUSE"));
     }
 
     #[test]

@@ -1,5 +1,7 @@
-//! Metric-name registry: every statically-named instrumentation point in
-//! the workspace must be documented in DESIGN.md's Telemetry table.
+//! Registries checked against the source: every statically-named
+//! instrumentation point in the workspace must be documented in DESIGN.md's
+//! Telemetry table, and every `CAE_*` knob must be a `Config::entries()`
+//! entry read through the `cae_trace::knob` grammar.
 //!
 //! The scanner is deliberately dumb — a hand-rolled substring walk over
 //! the non-test source (everything before the first `#[cfg(test)]`) for
@@ -9,6 +11,7 @@
 //! at run time (the `gemm.backend.<backend>` counters) are invisible to
 //! it and are documented in the table by pattern instead.
 
+use cae_dfkd::core::config::Config;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
@@ -63,22 +66,38 @@ fn read_literal(text: &str, start: usize) -> Option<&str> {
     None
 }
 
-/// Collects metric-name literals from one file's non-test, non-comment
-/// source.
-fn scan_file(path: &Path, names: &mut BTreeSet<String>) {
+/// One file's non-test source (everything before the first
+/// `#[cfg(test)]`) with comment lines removed.
+fn code_of(path: &Path) -> String {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
-    let code: String = text
-        .split("#[cfg(test)]")
+    text.split("#[cfg(test)]")
         .next()
         .unwrap_or("")
         .lines()
-        .filter(|l| {
-            let t = l.trim_start();
-            !t.starts_with("//") && !t.starts_with("//!")
-        })
+        .filter(|l| !l.trim_start().starts_with("//"))
         .collect::<Vec<_>>()
-        .join("\n");
+        .join("\n")
+}
+
+/// Every non-test `.rs` source of the workspace: each crate's `src/` tree
+/// plus the root package's.
+fn workspace_sources() -> Vec<PathBuf> {
+    let root = repo_root();
+    let mut files = Vec::new();
+    let crates = std::fs::read_dir(root.join("crates")).expect("crates/ exists");
+    for entry in crates.flatten() {
+        rust_sources(&entry.path().join("src"), &mut files);
+    }
+    rust_sources(&root.join("src"), &mut files);
+    assert!(files.len() > 10, "scanner found too few sources: {files:?}");
+    files
+}
+
+/// Collects metric-name literals from one file's non-test, non-comment
+/// source.
+fn scan_file(path: &Path, names: &mut BTreeSet<String>) {
+    let code = code_of(path);
     for call in CALLS {
         let mut from = 0;
         while let Some(pos) = code[from..].find(call) {
@@ -115,17 +134,8 @@ fn telemetry_section() -> String {
 
 #[test]
 fn every_recorded_metric_name_is_documented_in_design_md() {
-    let root = repo_root();
-    let mut files = Vec::new();
-    let crates = std::fs::read_dir(root.join("crates")).expect("crates/ exists");
-    for entry in crates.flatten() {
-        rust_sources(&entry.path().join("src"), &mut files);
-    }
-    rust_sources(&root.join("src"), &mut files);
-    assert!(files.len() > 10, "scanner found too few sources: {files:?}");
-
     let mut names = BTreeSet::new();
-    for file in &files {
+    for file in &workspace_sources() {
         scan_file(file, &mut names);
     }
     // The workspace is heavily instrumented; a scanner that suddenly sees
@@ -163,4 +173,99 @@ fn telemetry_table_documents_the_histograms_and_dynamic_counters() {
     ] {
         assert!(section.contains(needle), "Telemetry section lost {needle}");
     }
+}
+
+/// The one module allowed to read the environment.
+const GRAMMAR_MODULE: &str = "crates/trace/src/knob.rs";
+
+/// Environment reads outside the grammar: the bench bins re-executing
+/// themselves as child processes hand each child its output paths through
+/// `CAE_BENCH_*` variables. These are process plumbing, not user knobs.
+const HANDOFF_READS: [&str; 3] = [
+    "env::var(CHILD_ENV)",
+    "env::var(CHILD_TRACE_ENV)",
+    "env::var(CHILD_JSONL_ENV)",
+];
+
+#[test]
+fn every_knob_is_registered_and_read_through_the_grammar() {
+    let root = repo_root();
+    let registered: BTreeSet<&str> = Config::entries().iter().map(|e| e.var).collect();
+    assert_eq!(registered.len(), Config::entries().len(), "duplicate Config entry");
+
+    let mut knobs = BTreeSet::new();
+    let mut stray_reads = Vec::new();
+    let mut off_token_lists = Vec::new();
+    for file in &workspace_sources() {
+        let rel = file.strip_prefix(&root).unwrap_or(file).to_string_lossy().replace('\\', "/");
+        let code = code_of(file);
+        let mut from = 0;
+        while let Some(pos) = code[from..].find("\"CAE_") {
+            let start = from + pos + 1;
+            let len = code[start..]
+                .find(|c: char| !(c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_'))
+                .unwrap_or(code.len() - start);
+            knobs.insert((code[start..start + len].to_string(), rel.clone()));
+            from = start + len;
+        }
+        if rel != GRAMMAR_MODULE {
+            let mut from = 0;
+            while let Some(pos) = code[from..].find("env::var") {
+                let at = from + pos;
+                let handoff = rel.starts_with("crates/bench/src/bin/")
+                    && HANDOFF_READS.iter().any(|read| code[at..].starts_with(read));
+                if !handoff {
+                    stray_reads.push(rel.clone());
+                }
+                from = at + 1;
+            }
+        }
+        let spellings = code.matches(r#""0" | "off" | "false" | "no""#).count();
+        off_token_lists.extend(std::iter::repeat_n(rel.clone(), spellings));
+    }
+
+    assert!(knobs.len() > 15, "scanner found too few knob literals: {knobs:?}");
+    let unregistered: Vec<_> = knobs
+        .iter()
+        .filter(|(name, _)| !name.starts_with("CAE_BENCH_") && !registered.contains(name.as_str()))
+        .collect();
+    assert!(
+        unregistered.is_empty(),
+        "CAE_* literals in code that are not Config::entries() knobs: {unregistered:?}"
+    );
+    assert!(
+        stray_reads.is_empty(),
+        "environment read outside {GRAMMAR_MODULE} (use cae_trace::knob): {stray_reads:?}"
+    );
+    assert_eq!(
+        off_token_lists,
+        vec![GRAMMAR_MODULE.to_string()],
+        "the off-token list must be spelled once, in the grammar"
+    );
+}
+
+/// `cae-dfkd config` reports what the owning accessors resolved, so values
+/// the grammar rejects or normalizes show up as the process really runs.
+#[test]
+fn config_reports_the_values_the_accessors_parse() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_cae-dfkd"))
+        .arg("config")
+        .env("CAE_NUM_THREADS", " 5")
+        .env("CAE_TRACE_SERIES_CAP", "0")
+        .env("CAE_TRACE_MAX_EVENTS", "lots")
+        .output()
+        .expect("cae-dfkd runs");
+    assert!(out.status.success(), "{out:?}");
+    let text = String::from_utf8(out.stdout).expect("utf-8");
+    let value = |var: &str| {
+        text.lines()
+            .find_map(|l| l.strip_prefix(var)?.trim_start().strip_prefix("= "))
+            .unwrap_or_else(|| panic!("{var} missing from:\n{text}"))
+            .to_owned()
+    };
+    // A padded thread count sizes the pool, which is what the report shows.
+    assert_eq!(value("CAE_NUM_THREADS"), "5");
+    // A zero or unparsable cap is invalid, so the default applies.
+    assert_eq!(value("CAE_TRACE_SERIES_CAP"), "65536");
+    assert_eq!(value("CAE_TRACE_MAX_EVENTS"), "65536");
 }
