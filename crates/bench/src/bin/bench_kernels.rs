@@ -100,7 +100,8 @@ fn bench_pair<O1, O2>(
     rec
 }
 
-/// Seed-faithful im2col (identical algorithm to the kernel's internal one).
+/// Seed-faithful explicit im2col (the lowering the kernel used before it
+/// gathered patches straight into the GEMM's B panels).
 fn im2col_naive(x: &[f32], c: usize, h: usize, w: usize, spec: Conv2dSpec, col: &mut [f32]) {
     let k = spec.kernel;
     let oh = spec.out_size(h);

@@ -59,7 +59,7 @@ pub const SCALING_4T_SPEEDUP_FLOOR: f64 = 1.8;
 ///
 /// What batching can buy is host-dependent. The per-request fixed cost
 /// (queue handoff, wakeup, dispatch) is amortized across the batch on any
-/// host, but the per-image variable cost (im2col + GEMM) is paid either
+/// host, but the per-image variable cost (patch gather + GEMM) is paid either
 /// way — so on a single-core host the measured edge tops out around
 /// 1.1–1.4× for the smoke-budget student. On multi-core hosts the batched
 /// forward crosses the GEMM parallelism threshold and fans out across the

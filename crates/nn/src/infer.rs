@@ -324,7 +324,7 @@ pub enum Activation {
 /// pre-activation (WideResNet) residual forms.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FrozenOp {
-    /// im2col GEMM convolution with optional bias and fused epilogue.
+    /// Implicit-GEMM convolution with optional bias and fused epilogue.
     Conv {
         /// `[O, C, k, k]` weights (BN-folded in fused mode; when
         /// `qweight` is present, exactly its dequantized form).

@@ -1,28 +1,37 @@
-//! Convolution, pooling and upsampling kernels (im2col-based).
+//! Convolution, pooling and upsampling kernels (implicit-GEMM convolution).
 //!
-//! Both convolution passes are expressed as products on the im2col matrix
-//! and routed through the blocked kernel in [`crate::gemm`]:
+//! Both convolution passes that read the input are products on the
+//! *implicit* im2col matrix `col[krows, N·OH·OW]`, routed through the
+//! blocked kernel in [`crate::gemm`]:
 //!
-//! * forward: `out = W[o, krows] · col[krows, ncols]` (NN);
-//! * weight gradient: `dW += grad_out[o, ncols] · colᵀ` (NT);
+//! * forward: `out = W[o, krows] · col` (NN);
+//! * weight gradient: `dW += grad_out[o, ncols] · colᵀ` (NT), per image;
 //! * input gradient: `dcol = Wᵀ · grad_out[o, ncols]` (TN), folded back by
 //!   `col2im`.
 //!
-//! The `col`/`dcol` scratch matrices come from [`crate::workspace`] instead
-//! of per-call `vec!` allocations, and the batch loop is split into chunks
-//! over [`crate::pool::parallel_for`] — each chunk owns its thread-local
-//! workspace and a private `dW`/`db` partial, reduced at the end. The
-//! backward chunk count is a *fixed constant* (not the pool size): the
-//! partials are reduced in chunk order, so tying the chunking to the
-//! thread count would make `dW`/`db` rounding — and therefore whole
+//! The column matrix is never written: `Patches` prepares the (padded)
+//! input and two offset tables once per call, and the GEMM's B packer
+//! gathers each patch element straight from NCHW into its panels (the tract
+//! `FixedParamsConv`/`patch` design). Packing moves the same values into
+//! the same panel slots an explicit im2col would have, so every output is
+//! the same FMA chain and the bits are unchanged.
+//!
+//! Scratch buffers come from [`crate::workspace`] instead of per-call `vec!`
+//! allocations, and the batch loop is split into chunks over
+//! [`crate::pool::parallel_for`] — each chunk owns its thread-local
+//! workspace (and, backward, a private `dW`/`db` partial, reduced at the
+//! end). The backward chunk count is a *fixed constant* (not the pool
+//! size): the partials are reduced in chunk order, so tying the chunking to
+//! the thread count would make `dW`/`db` rounding — and therefore whole
 //! training trajectories — depend on `CAE_NUM_THREADS`.
 
 use crate::autotune::PARALLEL_FLOP_THRESHOLD;
-use crate::gemm::gemm;
+use crate::gemm::{gemm, gemm_with, BSource};
 use crate::pool;
 use crate::simd::vecmath;
 use crate::tensor::Tensor;
 use crate::workspace::{self, Slot};
+use std::borrow::Cow;
 
 /// Fixed batch chunking for [`conv2d_backward`]'s `dW`/`db` partials.
 ///
@@ -78,8 +87,7 @@ impl Conv2dSpec {
         let padded = h + 2 * self.padding;
         assert!(
             padded >= self.kernel,
-            "conv2d: kernel {} does not fit padded input extent {} \
-             (input {}, padding {})",
+            "kernel {} does not fit padded input extent {} (input {}, padding {})",
             self.kernel,
             padded,
             h,
@@ -89,76 +97,94 @@ impl Conv2dSpec {
     }
 }
 
-/// Unfolds one image `[C, H, W]` into a column matrix
-/// `[C*k*k, OH*OW]` (row-major, flat).
-fn im2col_single(
-    x: &[f32],
-    c: usize,
-    h: usize,
-    w: usize,
-    spec: Conv2dSpec,
-    col: &mut [f32],
-) {
-    let ncols = spec.out_size(h) * spec.out_size(w);
-    debug_assert_eq!(col.len(), c * spec.kernel * spec.kernel * ncols);
-    im2col_at(x, c, h, w, spec, col, ncols, 0);
+/// Checks `weight` against an `[N, c, H, W]` input and `spec`, returning
+/// the output channel count.
+fn weight_out_channels(op: &str, c: usize, weight: &Tensor, spec: Conv2dSpec) -> usize {
+    let wd = weight.shape().dims();
+    assert_eq!(wd.len(), 4, "{op} weight must be 4-d, got {wd:?}");
+    assert_eq!(wd[1], c, "{op} channel mismatch: input {c}, weight {}", wd[1]);
+    let k = spec.kernel;
+    assert_eq!((wd[2], wd[3]), (k, k), "{op} kernel mismatch: weight vs spec");
+    wd[0]
 }
 
-/// [`im2col_single`] writing into an `[C*k*k, row_stride]` matrix at column
-/// offset `col0` — the building block of the whole-batch column matrix
-/// (`row_stride = N*OH*OW`, image `ni` at `col0 = ni*OH*OW`).
-#[allow(clippy::too_many_arguments)] // mirrors the GEMM-style layout params
-fn im2col_at(
-    x: &[f32],
-    c: usize,
-    h: usize,
-    w: usize,
-    spec: Conv2dSpec,
-    col: &mut [f32],
-    row_stride: usize,
-    col0: usize,
-) {
-    let k = spec.kernel;
-    let oh = spec.out_size(h);
-    let ow = spec.out_size(w);
-    let ncols = oh * ow;
-    debug_assert!(col0 + ncols <= row_stride);
-    for ci in 0..c {
-        let xc = &x[ci * h * w..(ci + 1) * h * w];
-        for ki in 0..k {
-            for kj in 0..k {
-                let row = (ci * k + ki) * k + kj;
-                let start = row * row_stride + col0;
-                let dst = &mut col[start..start + ncols];
-                let (jlo, jhi) = valid_out_span(w, ow, spec.stride, kj, spec.padding);
-                for oi in 0..oh {
-                    let drow = &mut dst[oi * ow..(oi + 1) * ow];
-                    let ii = (oi * spec.stride + ki) as isize - spec.padding as isize;
-                    if ii < 0 || ii as usize >= h || jlo == jhi {
-                        drow.fill(0.0);
-                        continue;
-                    }
-                    let xrow = &xc[ii as usize * w..(ii as usize + 1) * w];
-                    drow[..jlo].fill(0.0);
-                    drow[jhi..].fill(0.0);
-                    let j0 = jlo * spec.stride + kj - spec.padding;
-                    if spec.stride == 1 {
-                        drow[jlo..jhi].copy_from_slice(&xrow[j0..j0 + (jhi - jlo)]);
-                    } else {
-                        for (t, d) in drow[jlo..jhi].iter_mut().enumerate() {
-                            *d = xrow[j0 + t * spec.stride];
-                        }
-                    }
+/// The implicit im2col of one conv call. Patch element `(r, j)` — kernel
+/// row `r = (ci, ki, kj)`, output column `j = (ni, oi, oj)` — is
+/// `src[k_off[r] + n_off[j]]`, where `src` is the input, zero-padded into
+/// `[N, C, H+2p, W+2p]` when `p > 0` so every gather is in bounds and
+/// branch-free (padding reads `+0.0`, as an explicit column matrix holds).
+struct Patches<'a> {
+    src: Cow<'a, [f32]>,
+    /// `k_off` (`krows` entries) followed by `n_off` (`N·OH·OW` entries).
+    offs: Vec<usize>,
+    krows: usize,
+}
+
+impl<'a> Patches<'a> {
+    fn new(x: &'a Tensor, spec: Conv2dSpec) -> Self {
+        let _sp = cae_trace::span_stat("conv.im2col");
+        let (n, c, h, w) = x.shape().nchw();
+        let (k, s, p) = (spec.kernel, spec.stride, spec.padding);
+        let (oh, ow) = (spec.out_size(h), spec.out_size(w));
+        let (hp, wp) = (h + 2 * p, w + 2 * p);
+        // Zeroed: only the interior rows are copied in. Plain index loops
+        // throughout — this runs once per conv call, often on tiny shapes.
+        let src = if p == 0 {
+            Cow::Borrowed(x.data())
+        } else {
+            let mut xp = workspace::take(Slot::Padded, n * c * hp * wp);
+            for plane in 0..n * c {
+                for i in 0..h {
+                    let d = (plane * hp + i + p) * wp + p;
+                    xp[d..d + w].copy_from_slice(&x.data()[(plane * h + i) * w..][..w]);
+                }
+            }
+            Cow::Owned(xp)
+        };
+        let krows = c * k * k;
+        let mut offs = workspace::take_offsets(krows + n * oh * ow);
+        let mut r = 0;
+        for ci in 0..c {
+            for ki in 0..k {
+                for kj in 0..k {
+                    offs[r] = (ci * hp + ki) * wp + kj;
+                    r += 1;
                 }
             }
         }
+        for ni in 0..n {
+            for oi in 0..oh {
+                for oj in 0..ow {
+                    offs[r] = ni * c * hp * wp + (oi * wp + oj) * s;
+                    r += 1;
+                }
+            }
+        }
+        Patches { src, offs, krows }
+    }
+
+    fn k_off(&self) -> &[usize] {
+        &self.offs[..self.krows]
+    }
+
+    /// Output-column offsets of the output columns `cols` (`N·OH·OW` in
+    /// all, image-major).
+    fn n_off(&self, cols: std::ops::Range<usize>) -> &[usize] {
+        &self.offs[self.krows + cols.start..self.krows + cols.end]
+    }
+
+    fn release(self) {
+        if let Cow::Owned(xp) = self.src {
+            workspace::give(Slot::Padded, xp);
+        }
+        workspace::give_offsets(self.offs);
     }
 }
 
 /// Half-open range of output positions `o` whose input coordinate
 /// `o·stride + koff − padding` falls inside `[0, extent)`. Hoisting this
-/// out of the im2col/col2im inner loops removes the per-element padding
-/// branch and enables contiguous copies in the stride-1 case.
+/// out of the col2im inner loops removes the per-element padding branch
+/// and enables contiguous adds in the stride-1 case.
 fn valid_out_span(
     extent: usize,
     out: usize,
@@ -182,16 +208,9 @@ fn valid_out_span(
     }
 }
 
-/// Folds a column matrix back into an image, accumulating overlaps
-/// (the adjoint of [`im2col_single`]).
-fn col2im_single(
-    col: &[f32],
-    c: usize,
-    h: usize,
-    w: usize,
-    spec: Conv2dSpec,
-    x: &mut [f32],
-) {
+/// Folds a column matrix `[C*k*k, OH*OW]` back into an image `[C, H, W]`,
+/// accumulating overlaps (the adjoint of the patch gather).
+fn col2im_single(col: &[f32], c: usize, h: usize, w: usize, spec: Conv2dSpec, x: &mut [f32]) {
     let k = spec.kernel;
     let oh = spec.out_size(h);
     let ow = spec.out_size(w);
@@ -262,141 +281,89 @@ pub fn conv2d_fused(
     epilogue: ConvEpilogue,
 ) -> Tensor {
     let (n, c, h, w) = x.shape().nchw();
-    let wd = weight.shape().dims();
-    assert_eq!(wd.len(), 4, "conv2d weight must be 4-d, got {:?}", wd);
-    let (o, wc, kh, kw) = (wd[0], wd[1], wd[2], wd[3]);
-    assert_eq!(wc, c, "conv2d channel mismatch: input {c}, weight {wc}");
-    assert!(
-        kh == spec.kernel && kw == spec.kernel,
-        "conv2d kernel mismatch: weight {kh}x{kw}, spec {}",
-        spec.kernel
-    );
+    let o = weight_out_channels("conv2d", c, weight, spec);
     let oh = spec.out_size(h);
     let ow = spec.out_size(w);
     let ncols = oh * ow;
     let krows = c * spec.kernel * spec.kernel;
-    let chw = c * h * w;
     let per_sample = o * ncols;
     let mut out = Tensor::zeros(&[n, o, oh, ow]);
     if n == 0 || per_sample == 0 {
         return out;
     }
-    let out_ptr = SendPtr(out.data_mut().as_mut_ptr());
-    let (xd, wd_flat) = (x.data(), weight.data());
 
+    // Each chunk of images is one GEMM over its `chunk·OH·OW` patch columns,
+    // so weight packing, GEMM blocking setup and the epilogue pass are paid
+    // once per *chunk* rather than once per *image* — on small per-image
+    // shapes those fixed costs dominate, and amortizing them is what makes
+    // dynamic batching in `cae-serve` pay off. Each output column's
+    // accumulation is a single FMA chain regardless of the GEMM width (see
+    // `gemm`), so every image's logits stay bit-identical to its batch-1
+    // forward, and the chunk count is free to follow the thread budget:
+    // inside a budgeted experiment cell that is the cell's share of the
+    // pool, not the whole pool.
     let flops = 2 * n * o * krows * ncols;
-    // Budget-aware: inside a budgeted experiment cell this sees the cell's
-    // share of the pool, not the whole pool. Chunking is per-sample (no
-    // cross-chunk reduction), so the chunk count is free to vary with the
-    // thread budget without changing bits.
     let chunks = if flops >= PARALLEL_FLOP_THRESHOLD {
         pool::current_parallelism().min(n)
     } else {
         1
     };
-    if chunks == 1 {
-        // Serial path: one whole-batch GEMM instead of one per image. The
-        // column matrices of all N images sit side by side
-        // (`[krows, N*ncols]`), so weight packing, GEMM blocking setup, and
-        // the epilogue pass are paid once per *layer* rather than once per
-        // *image* — on small per-image shapes those fixed costs dominate,
-        // and amortizing them is what makes dynamic batching in `cae-serve`
-        // pay off. Each output column's accumulation is a single FMA chain
-        // regardless of the GEMM width (see `gemm`), so every image's
-        // logits stay bit-identical to its batch-1 forward.
-        let total = n * ncols;
-        // Unzeroed: `im2col_at` writes every element, padding included — a
-        // zeroing memset of the whole-batch column matrix would evict L2
-        // on large batches for nothing.
-        let mut col = workspace::take_unzeroed(Slot::Col, krows * total);
-        {
-            let _sp = cae_trace::span_stat("conv.im2col");
-            for ni in 0..n {
-                im2col_at(&xd[ni * chw..(ni + 1) * chw], c, h, w, spec, &mut col, total, ni * ncols);
-            }
-        }
+    let per_chunk = n.div_ceil(chunks);
+    let patches = Patches::new(x, spec);
+    let out_ptr = SendPtr(out.data_mut().as_mut_ptr());
+    let run = |t: usize| {
+        // Capture the wrapper, not its raw-pointer field (which is !Sync).
+        let out_ptr = &out_ptr;
+        let images = t * per_chunk..n.min((t + 1) * per_chunk);
+        let total = images.len() * ncols;
         // Unzeroed: the GEMM overwrites every element (accumulate=false).
         let mut prod = workspace::take_unzeroed(Slot::ConvOut, o * total);
-        gemm(o, total, krows, wd_flat, (krows, 1), &col, (total, 1), &mut prod, false);
+        let cols = BSource::Patches {
+            src: &patches.src,
+            row_off: patches.k_off(),
+            col_off: patches.n_off(images.start * ncols..images.end * ncols),
+        };
+        gemm_with(o, total, krows, weight.data(), (krows, 1), cols, &mut prod, false);
         let _ep = cae_trace::span_stat("conv.epilogue");
-        let od = out.data_mut();
-        for ni in 0..n {
-            for oi in 0..o {
-                let src = &prod[oi * total + ni * ncols..oi * total + (ni + 1) * ncols];
-                let dst = &mut od[ni * per_sample + oi * ncols..ni * per_sample + (oi + 1) * ncols];
-                dst.copy_from_slice(src);
+        // SAFETY: the images of chunk `t` belong to it alone, so this slice
+        // is not aliased by any other task.
+        let od = unsafe {
+            std::slice::from_raw_parts_mut(
+                out_ptr.0.add(images.start * per_sample),
+                images.len() * per_sample,
+            )
+        };
+        for (ni, img) in od.chunks_exact_mut(per_sample).enumerate() {
+            for (oi, dst) in img.chunks_exact_mut(ncols).enumerate() {
+                dst.copy_from_slice(&prod[oi * total + ni * ncols..][..ncols]);
+                let bv = bias.map_or(0.0, |b| b.data()[oi]);
                 match epilogue {
-                    ConvEpilogue::None => {
-                        if let Some(b) = bias {
-                            vecmath::vec_add_scalar_inplace(dst, b.data()[oi]);
-                        }
+                    ConvEpilogue::None if bias.is_some() => {
+                        vecmath::vec_add_scalar_inplace(dst, bv)
                     }
-                    ConvEpilogue::Relu => {
-                        vecmath::vec_bias_relu_inplace(dst, bias.map_or(0.0, |b| b.data()[oi]));
-                    }
+                    ConvEpilogue::None => {}
+                    ConvEpilogue::Relu => vecmath::vec_bias_relu_inplace(dst, bv),
                     ConvEpilogue::LeakyRelu(slope) => {
-                        vecmath::vec_bias_leaky_relu_inplace(
-                            dst,
-                            bias.map_or(0.0, |b| b.data()[oi]),
-                            slope,
-                        );
+                        vecmath::vec_bias_leaky_relu_inplace(dst, bv, slope)
                     }
                 }
             }
         }
         workspace::give(Slot::ConvOut, prod);
-        workspace::give(Slot::Col, col);
-        return out;
+    };
+    match n.div_ceil(per_chunk) {
+        1 => run(0),
+        tasks => pool::parallel_for(tasks, run),
     }
-    let per_chunk = n.div_ceil(chunks);
-    pool::parallel_for(n.div_ceil(per_chunk), |t| {
-        // Capture the wrapper, not its raw-pointer field (which is !Sync).
-        let out_ptr = &out_ptr;
-        let mut col = workspace::take(Slot::Col, krows * ncols);
-        for ni in t * per_chunk..n.min((t + 1) * per_chunk) {
-            im2col_single(&xd[ni * chw..(ni + 1) * chw], c, h, w, spec, &mut col);
-            // SAFETY: sample `ni` belongs to exactly one chunk, so this
-            // slice is not aliased by any other task.
-            let dst = unsafe {
-                std::slice::from_raw_parts_mut(out_ptr.0.add(ni * per_sample), per_sample)
-            };
-            gemm(o, ncols, krows, wd_flat, (krows, 1), &col, (ncols, 1), dst, false);
-            match epilogue {
-                ConvEpilogue::None => {
-                    if let Some(b) = bias {
-                        for oi in 0..o {
-                            let bv = b.data()[oi];
-                            vecmath::vec_add_scalar_inplace(
-                                &mut dst[oi * ncols..(oi + 1) * ncols],
-                                bv,
-                            );
-                        }
-                    }
-                }
-                ConvEpilogue::Relu => {
-                    for oi in 0..o {
-                        let bv = bias.map_or(0.0, |b| b.data()[oi]);
-                        vecmath::vec_bias_relu_inplace(&mut dst[oi * ncols..(oi + 1) * ncols], bv);
-                    }
-                }
-                ConvEpilogue::LeakyRelu(slope) => {
-                    for oi in 0..o {
-                        let bv = bias.map_or(0.0, |b| b.data()[oi]);
-                        vecmath::vec_bias_leaky_relu_inplace(
-                            &mut dst[oi * ncols..(oi + 1) * ncols],
-                            bv,
-                            slope,
-                        );
-                    }
-                }
-            }
-        }
-        workspace::give(Slot::Col, col);
-    });
+    patches.release();
     out
 }
 
 /// Backward pass of [`conv2d`], returning `(dx, dw, db)`.
+///
+/// # Panics
+/// Panics if `weight` does not match `x` and `spec` (as in [`conv2d`]) or
+/// `grad_out` is not `[N, O, OH, OW]`.
 pub fn conv2d_backward(
     x: &Tensor,
     weight: &Tensor,
@@ -404,12 +371,17 @@ pub fn conv2d_backward(
     spec: Conv2dSpec,
 ) -> (Tensor, Tensor, Tensor) {
     let (n, c, h, w) = x.shape().nchw();
-    let wd = weight.shape().dims();
-    let o = wd[0];
+    let o = weight_out_channels("conv2d_backward", c, weight, spec);
     let oh = spec.out_size(h);
     let ow = spec.out_size(w);
+    assert_eq!(
+        grad_out.shape().dims(),
+        &[n, o, oh, ow],
+        "conv2d_backward grad_out shape mismatch: expected [N, O, OH, OW]"
+    );
     let ncols = oh * ow;
     let krows = c * spec.kernel * spec.kernel;
+    let wd = weight.shape().dims();
 
     let chw = c * h * w;
     let mut dx = Tensor::zeros(&[n, c, h, w]);
@@ -437,14 +409,15 @@ pub fn conv2d_backward(
     let mut partials = workspace::take(Slot::Partial, tasks * part_stride);
     let part_ptr = SendPtr(partials.as_mut_ptr());
     let dx_ptr = SendPtr(dx.data_mut().as_mut_ptr());
-    let (xd, god, wd_flat) = (x.data(), grad_out.data(), weight.data());
+    let (god, wd_flat) = (grad_out.data(), weight.data());
+    let patches = Patches::new(x, spec);
 
     pool::parallel_for(tasks, |t| {
         // Capture the wrappers, not their raw-pointer fields (which are
         // !Sync).
         let (part_ptr, dx_ptr) = (&part_ptr, &dx_ptr);
-        let mut col = workspace::take(Slot::Col, krows * ncols);
-        let mut dcol = workspace::take(Slot::DCol, krows * ncols);
+        // Unzeroed: the TN product overwrites every element.
+        let mut dcol = workspace::take_unzeroed(Slot::DCol, krows * ncols);
         // SAFETY: partial `t` and the chunk's dx samples are touched by
         // this task only.
         let part = unsafe {
@@ -456,9 +429,15 @@ pub fn conv2d_backward(
             for oi in 0..o {
                 db_part[oi] += vecmath::vec_sum(&go[oi * ncols..(oi + 1) * ncols]);
             }
-            im2col_single(&xd[ni * chw..(ni + 1) * chw], c, h, w, spec, &mut col);
-            // dw += go[o, ncols] · col[krows, ncols]ᵀ  (NT product).
-            gemm(o, krows, ncols, go, (ncols, 1), &col, (1, ncols), dw_part, true);
+            // dw += go[o, ncols] · col[krows, ncols]ᵀ (NT product): the
+            // image's output columns are the depth, so the patch tables
+            // swap roles.
+            let colt = BSource::Patches {
+                src: &patches.src,
+                row_off: patches.n_off(ni * ncols..(ni + 1) * ncols),
+                col_off: patches.k_off(),
+            };
+            gemm_with(o, krows, ncols, go, (ncols, 1), colt, dw_part, true);
             // dcol = w[o, krows]ᵀ · go[o, ncols]  (TN product).
             gemm(krows, ncols, o, wd_flat, (1, krows), go, (ncols, 1), &mut dcol, false);
             let dst =
@@ -466,8 +445,8 @@ pub fn conv2d_backward(
             col2im_single(&dcol, c, h, w, spec, dst);
         }
         workspace::give(Slot::DCol, dcol);
-        workspace::give(Slot::Col, col);
     });
+    patches.release();
 
     for t in 0..tasks {
         let part = &partials[t * part_stride..(t + 1) * part_stride];
@@ -486,8 +465,10 @@ pub fn conv2d_backward(
 /// Forward 2-d average pooling with a square window and equal stride.
 pub fn avg_pool2d(x: &Tensor, kernel: usize, stride: usize) -> Tensor {
     let (n, c, h, w) = x.shape().nchw();
-    let oh = (h - kernel) / stride + 1;
-    let ow = (w - kernel) / stride + 1;
+    // The checked conv geometry: panics on a zero stride or a window
+    // larger than the input instead of wrapping.
+    let window = Conv2dSpec::new(kernel, stride, 0);
+    let (oh, ow) = (window.out_size(h), window.out_size(w));
     let mut out = Tensor::zeros(&[n, c, oh, ow]);
     let inv = 1.0 / (kernel * kernel) as f32;
     let (xd, od) = (x.data(), out.data_mut());
@@ -517,8 +498,8 @@ pub fn avg_pool2d_backward(
     stride: usize,
 ) -> Tensor {
     let (n, c, h, w) = x_shape;
-    let oh = (h - kernel) / stride + 1;
-    let ow = (w - kernel) / stride + 1;
+    let window = Conv2dSpec::new(kernel, stride, 0);
+    let (oh, ow) = (window.out_size(h), window.out_size(w));
     let inv = 1.0 / (kernel * kernel) as f32;
     let mut dx = Tensor::zeros(&[n, c, h, w]);
     let (gd, dd) = (grad_out.data(), dx.data_mut());
@@ -543,8 +524,8 @@ pub fn avg_pool2d_backward(
 /// backward pass.
 pub fn max_pool2d(x: &Tensor, kernel: usize, stride: usize) -> (Tensor, Vec<usize>) {
     let (n, c, h, w) = x.shape().nchw();
-    let oh = (h - kernel) / stride + 1;
-    let ow = (w - kernel) / stride + 1;
+    let window = Conv2dSpec::new(kernel, stride, 0);
+    let (oh, ow) = (window.out_size(h), window.out_size(w));
     let mut out = Tensor::zeros(&[n, c, oh, ow]);
     let mut arg = vec![0usize; n * c * oh * ow];
     let (xd, od) = (x.data(), out.data_mut());
@@ -809,24 +790,80 @@ mod tests {
     }
 
     #[test]
-    fn im2col_col2im_adjoint_property() {
-        // <im2col(x), y> == <x, col2im(y)> for random-ish tensors: validates
-        // the backward fold against the forward unfold.
+    fn patch_gather_col2im_adjoint_property() {
+        // <gather(x), y> == <x, col2im(y)> for random-ish tensors: validates
+        // the patch offset tables against the backward fold, padding
+        // included.
         let spec = Conv2dSpec::new(3, 2, 1);
-        let (c, h, w) = (2, 5, 5);
-        let oh = spec.out_size(h);
-        let ow = spec.out_size(w);
+        let (c, h, w) = (2, 5, 6);
+        let ncols = spec.out_size(h) * spec.out_size(w);
         let krows = c * 9;
-        let x: Vec<f32> = (0..c * h * w).map(|i| (i as f32 * 0.37).sin()).collect();
-        let y: Vec<f32> = (0..krows * oh * ow)
-            .map(|i| (i as f32 * 0.11).cos())
-            .collect();
-        let mut col = vec![0.0f32; krows * oh * ow];
-        im2col_single(&x, c, h, w, spec, &mut col);
-        let lhs: f32 = col.iter().zip(y.iter()).map(|(a, b)| a * b).sum();
+        let x = Tensor::from_vec(
+            (0..c * h * w).map(|i| (i as f32 * 0.37).sin()).collect(),
+            &[1, c, h, w],
+        )
+        .unwrap();
+        let y: Vec<f32> = (0..krows * ncols).map(|i| (i as f32 * 0.11).cos()).collect();
+        let patches = Patches::new(&x, spec);
+        let (src, k_off, n_off) = (&patches.src, patches.k_off(), patches.n_off(0..ncols));
+        let mut lhs = 0.0f32;
+        for r in 0..krows {
+            for j in 0..ncols {
+                lhs += src[k_off[r] + n_off[j]] * y[r * ncols + j];
+            }
+        }
         let mut xb = vec![0.0f32; c * h * w];
         col2im_single(&y, c, h, w, spec, &mut xb);
-        let rhs: f32 = x.iter().zip(xb.iter()).map(|(a, b)| a * b).sum();
+        let rhs: f32 = x.data().iter().zip(xb.iter()).map(|(a, b)| a * b).sum();
         assert!((lhs - rhs).abs() < 1e-3, "lhs={lhs} rhs={rhs}");
+        patches.release();
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit padded input")]
+    fn avg_pool_rejects_window_larger_than_input() {
+        avg_pool2d(&Tensor::ones(&[1, 1, 2, 2]), 3, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "stride must be positive")]
+    fn avg_pool_rejects_zero_stride() {
+        avg_pool2d(&Tensor::ones(&[1, 1, 4, 4]), 2, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit padded input")]
+    fn avg_pool_backward_rejects_window_larger_than_input() {
+        avg_pool2d_backward((1, 1, 2, 2), &Tensor::ones(&[1, 1, 1, 1]), 3, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit padded input")]
+    fn max_pool_rejects_window_larger_than_input() {
+        max_pool2d(&Tensor::ones(&[1, 1, 4, 2]), 3, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "stride must be positive")]
+    fn max_pool_rejects_zero_stride() {
+        max_pool2d(&Tensor::ones(&[1, 1, 4, 4]), 2, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "conv2d_backward grad_out shape mismatch")]
+    fn conv2d_backward_rejects_mismatched_grad_out() {
+        let x = Tensor::ones(&[2, 3, 6, 6]);
+        let w = Tensor::ones(&[4, 3, 3, 3]);
+        // Output is [2, 4, 6, 6]; a gradient for 5 channels must not be
+        // gathered against it.
+        conv2d_backward(&x, &w, &Tensor::ones(&[2, 5, 6, 6]), Conv2dSpec::new(3, 1, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "conv2d_backward channel mismatch")]
+    fn conv2d_backward_rejects_mismatched_weight() {
+        let x = Tensor::ones(&[1, 3, 6, 6]);
+        let w = Tensor::ones(&[4, 2, 3, 3]);
+        conv2d_backward(&x, &w, &Tensor::ones(&[1, 4, 6, 6]), Conv2dSpec::new(3, 1, 1));
     }
 }

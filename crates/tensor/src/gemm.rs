@@ -10,6 +10,10 @@
 //! * **Layouts via strides** — operands are described by `(row_stride,
 //!   col_stride)` pairs, so NN, NT and TN products are the same code path;
 //!   transposition happens for free during packing.
+//! * **Implicit im2col** — inside the crate, B may instead be a conv patch
+//!   gather (`BSource::Patches`): the packer reads each patch element
+//!   straight from the (padded) NCHW input through two offset tables, so
+//!   convolution never materializes its column matrix.
 //! * **Packing** — A is repacked into `MR`-row panels and B into `NR`-column
 //!   panels, both contiguous in the micro-kernel's access order and
 //!   zero-padded to tile multiples, so the inner loop is branch-free and
@@ -61,6 +65,32 @@ const KC: usize = 256;
 /// products without materializing a transpose.
 pub type Strides = (usize, usize);
 
+/// Where [`gemm_with`] reads its logical `k x n` B operand from.
+#[derive(Clone, Copy)]
+pub(crate) enum BSource<'a> {
+    /// `B[p, j] = b[p * row_stride + j * col_stride]`.
+    Strided(&'a [f32], Strides),
+    /// Conv patches: `B[p, j] = src[row_off[p] + col_off[j]]`. Forward conv
+    /// passes per-kernel-row offsets as `row_off` and per-output-column
+    /// offsets as `col_off`; the weight gradient's NT product swaps them.
+    Patches { src: &'a [f32], row_off: &'a [usize], col_off: &'a [usize] },
+}
+
+impl BSource<'_> {
+    /// Panics unless every element of the logical `k x n` operand
+    /// (`k, n > 0`) is in bounds, so packing may index unchecked.
+    fn check(&self, k: usize, n: usize) {
+        let (len, last) = match *self {
+            BSource::Strided(b, (brs, bcs)) => (b.len(), (k - 1) * brs + (n - 1) * bcs),
+            BSource::Patches { src, row_off, col_off } => {
+                let max = |o: &[usize]| o.iter().copied().max().unwrap_or(0);
+                (src.len(), max(&row_off[..k]) + max(&col_off[..n]))
+            }
+        };
+        assert!(last < len, "B too short for {k}x{n}: reads index {last} of {len}");
+    }
+}
+
 /// Raw pointer wrapper so disjoint row blocks of C can be written from pool
 /// workers.
 #[derive(Clone, Copy)]
@@ -92,6 +122,22 @@ pub fn gemm(
     c: &mut [f32],
     accumulate: bool,
 ) {
+    gemm_with(m, n, k, a, (ars, acs), BSource::Strided(b, (brs, bcs)), c, accumulate);
+}
+
+/// [`gemm`] over any [`BSource`]: the one blocked kernel behind both the
+/// public strided entry point and the implicit-im2col convolution.
+#[allow(clippy::too_many_arguments)] // BLAS-style signature
+pub(crate) fn gemm_with(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    (ars, acs): Strides,
+    b: BSource<'_>,
+    c: &mut [f32],
+    accumulate: bool,
+) {
     assert!(c.len() >= m * n, "C too short: {} < {}", c.len(), m * n);
     if m == 0 || n == 0 {
         return;
@@ -107,10 +153,7 @@ pub fn gemm(
         a.len() > (m - 1) * ars + (k - 1) * acs,
         "A too short for {m}x{k} with strides ({ars},{acs})"
     );
-    assert!(
-        b.len() > (k - 1) * brs + (n - 1) * bcs,
-        "B too short for {k}x{n} with strides ({brs},{bcs})"
-    );
+    b.check(k, n);
     cae_trace::counters(&[
         ("gemm.calls", 1),
         ("gemm.flops", (2 * m * n * k) as u64),
@@ -145,7 +188,7 @@ pub fn gemm(
         let nc = nc_max.min(n - jc);
         for pc in (0..k).step_by(KC) {
             let kc = KC.min(k - pc);
-            pack_b(&mut bbuf, b, brs, bcs, pc, kc, jc, nc);
+            pack_b(&mut bbuf, b, pc, kc, jc, nc);
             // On the first k-block, overwrite C unless the caller asked to
             // accumulate; later k-blocks always accumulate.
             let add = accumulate || pc > 0;
@@ -168,9 +211,7 @@ pub fn gemm(
                 // blocks partition the row range, so writes are disjoint;
                 // the pointer outlives the call.
                 unsafe {
-                    process_row_block(
-                        ic, mc, pc, kc, jc, nc, a, ars, acs, &bbuf, cptr.0, n, add,
-                    );
+                    process_row_block(ic, mc, pc, kc, jc, nc, a, ars, acs, &bbuf, cptr.0, n, add);
                 }
             };
             if threads > 1 && blocks > 1 {
@@ -305,46 +346,14 @@ fn pack_a(
 /// Packs `B[pc..pc+kc, jc..jc+nc]` into NR-column panels, k-major, columns
 /// past `nc` zero-filled.
 ///
-/// When `bcs == 1` (row-major B — every forward matmul and the im2col conv
-/// product) each k-step of a panel is a contiguous `NR`-wide run of the
-/// source row, so packing degenerates to `memcpy` + zero-pad.
-#[allow(clippy::too_many_arguments)] // BLAS-style signature
-fn pack_b(
-    dst: &mut [f32],
-    b: &[f32],
-    brs: usize,
-    bcs: usize,
-    pc: usize,
-    kc: usize,
-    jc: usize,
-    nc: usize,
-) {
+/// A transposed-B view (`brs == 1`) is packed column by column; every
+/// other source goes panel by panel through [`pack_panel`], which for
+/// row-major B (`bcs == 1`, every forward matmul) copies one contiguous
+/// `NR`-wide run per k-step of a full panel.
+fn pack_b(dst: &mut [f32], b: BSource<'_>, pc: usize, kc: usize, jc: usize, nc: usize) {
     let panels = nc.div_ceil(NR);
-    if bcs == 1 {
-        for q in 0..panels {
-            let panel = &mut dst[q * kc * NR..(q + 1) * kc * NR];
-            let col0 = q * NR;
-            let cols = NR.min(nc - col0);
-            if cols == NR {
-                // Full panel: fixed `NR`-length copies, same rationale as
-                // the full-panel path in `pack_a`.
-                for (kk, step) in panel.chunks_exact_mut(NR).enumerate() {
-                    let src = (pc + kk) * brs + jc + col0;
-                    step.copy_from_slice(&b[src..src + NR]);
-                }
-            } else {
-                for kk in 0..kc {
-                    let src = (pc + kk) * brs + jc + col0;
-                    let step = &mut panel[kk * NR..(kk + 1) * NR];
-                    step[..cols].copy_from_slice(&b[src..src + cols]);
-                    step[cols..].fill(0.0);
-                }
-            }
-        }
-        return;
-    }
-    if brs == 1 {
-        // Transposed-B view (the NT product): each source column is
+    if let BSource::Strided(b, (1, bcs @ 2..)) = b {
+        // Transposed-B view (the NT matmul): each source column is
         // contiguous in k, so packing is a pure transpose. Full panels go
         // through the 8x8 in-register transpose when AVX2 is active (pure
         // data movement, so the packed bytes are identical to the scalar
@@ -393,17 +402,74 @@ fn pack_b(
         }
         return;
     }
-    for q in 0..panels {
-        let panel = &mut dst[q * kc * NR..(q + 1) * kc * NR];
-        for kk in 0..kc {
-            for j in 0..NR {
-                let col = q * NR + j;
-                panel[kk * NR + j] = if col < nc {
-                    b[(pc + kk) * brs + (jc + col) * bcs]
-                } else {
-                    0.0
-                };
+    for (q, panel) in dst.chunks_exact_mut(kc * NR).take(panels).enumerate() {
+        let (j0, w) = (jc + q * NR, NR.min(nc - q * NR));
+        match b {
+            BSource::Patches { src, row_off, col_off } => {
+                pack_panel(panel, src, |kk| row_off[pc + kk], &col_off[j0..j0 + w])
             }
+            // Row-major full panel: one contiguous run per k-step.
+            BSource::Strided(b, (brs, 1)) if w == NR => {
+                copy_runs::<NR>(panel, b, |kk| (pc + kk) * brs, &[j0])
+            }
+            BSource::Strided(b, (brs, bcs)) => {
+                let cols: [usize; NR] = std::array::from_fn(|j| (j0 + j) * bcs);
+                pack_panel(panel, b, |kk| (pc + kk) * brs, &cols[..w]);
+            }
+        }
+    }
+}
+
+/// Packs one `NR`-column panel: k-step `kk` gets `src[row(kk) + cols[j]]`
+/// in lane `j`, lanes past `cols.len()` zero. For a conv patch source
+/// these are exactly the values and slots an explicit column matrix would
+/// have been packed into, so the product's bits are unchanged.
+///
+/// A stride-1 forward conv has consecutive column offsets along each
+/// output row: a full panel whose aligned groups of 16, 8 or 4 lanes are
+/// each consecutive copies whole groups per k-step (fixed-length copies
+/// compile to vector moves); any other panel is gathered lane by lane.
+#[inline(always)]
+fn pack_panel(panel: &mut [f32], src: &[f32], row: impl Fn(usize) -> usize, cols: &[usize]) {
+    let runs = |len: usize| {
+        cols.len() == NR && (1..NR).all(|j| j % len == 0 || cols[j] == cols[j - 1] + 1)
+    };
+    if runs(NR) {
+        copy_runs::<NR>(panel, src, row, cols);
+    } else if runs(LANES) {
+        copy_runs::<LANES>(panel, src, row, cols);
+    } else if runs(4) {
+        copy_runs::<4>(panel, src, row, cols);
+    } else {
+        for kk in 0..panel.len() / NR {
+            let (r, step) = (row(kk), &mut panel[kk * NR..(kk + 1) * NR]);
+            for (j, &c) in cols.iter().enumerate() {
+                // SAFETY: the only caller is `pack_b` under `gemm_with`,
+                // whose `BSource::check` bounded every `row + col` offset of
+                // the operand below `src.len()` (as for the transpose above).
+                step[j] = unsafe { *src.get_unchecked(r + c) };
+            }
+            step[cols.len()..].fill(0.0);
+        }
+    }
+}
+
+/// [`pack_panel`] for a full panel made of `L`-lane groups of consecutive
+/// offsets: one `L`-float copy per group and k-step. Plain index loops:
+/// iterator adapters here were left un-inlined, paying a division per
+/// k-step.
+#[inline(always)]
+fn copy_runs<const L: usize>(
+    panel: &mut [f32],
+    src: &[f32],
+    row: impl Fn(usize) -> usize,
+    cols: &[usize],
+) {
+    for kk in 0..panel.len() / NR {
+        let (r, step) = (row(kk), &mut panel[kk * NR..(kk + 1) * NR]);
+        for g in 0..NR / L {
+            let s = r + cols[g * L];
+            step[g * L..(g + 1) * L].copy_from_slice(&src[s..s + L]);
         }
     }
 }

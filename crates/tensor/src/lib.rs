@@ -7,7 +7,7 @@
 //!
 //! * [`Tensor`] — an n-dimensional, row-major `f32` array with the raw
 //!   (non-differentiable) kernels used by the neural-network stack: blocked
-//!   matrix multiplication, im2col convolution, pooling, upsampling,
+//!   matrix multiplication, implicit-GEMM convolution, pooling, upsampling,
 //!   reductions and elementwise maps.
 //! * [`Var`] — a reference-counted autograd variable wrapping a [`Tensor`].
 //!   Operations on `Var`s record a backward closure; [`Var::backward`] walks

@@ -4,25 +4,27 @@
 //! every conv2d call (and packing would need two more per GEMM). For the
 //! small tensors this codebase trains on, those allocations dominate the
 //! kernel runtime. This arena keeps one buffer per ([`Slot`], thread) alive
-//! across calls, growing it monotonically to the high-water mark.
+//! across calls, growing it monotonically to the high-water mark, plus one
+//! `usize` buffer per thread for the conv patch offset tables
+//! (`take_offsets`).
 //!
 //! Usage is a take/give pair:
 //!
 //! ```
 //! use cae_tensor::workspace::{self, Slot};
 //!
-//! let mut buf = workspace::take(Slot::Col, 128); // zeroed, len == 128
+//! let mut buf = workspace::take(Slot::Padded, 128); // zeroed, len == 128
 //! buf[0] = 1.0;
-//! workspace::give(Slot::Col, buf); // returned for the next caller
+//! workspace::give(Slot::Padded, buf); // returned for the next caller
 //! ```
 //!
 //! `take` moves the buffer *out* of the thread-local slot (no `RefCell`
 //! borrow is held while the caller works), so a kernel may hold one slot
 //! while calling another kernel that takes a different slot — conv2d holds
-//! [`Slot::Col`] while the GEMM underneath takes [`Slot::PackA`] and
-//! [`Slot::PackB`]. If a slot is taken twice without an intervening `give`
-//! (re-entrancy), the second `take` simply falls back to a fresh
-//! allocation — correctness never depends on reuse.
+//! [`Slot::Padded`] and [`Slot::ConvOut`] while the GEMM underneath takes
+//! [`Slot::PackA`] and [`Slot::PackB`]. If a slot is taken twice without an
+//! intervening `give` (re-entrancy), the second `take` simply falls back to
+//! a fresh allocation — correctness never depends on reuse.
 //!
 //! Because slots are thread-local, every pool worker (see
 //! [`crate::pool`]) automatically owns a private workspace; parallel conv
@@ -37,14 +39,17 @@ pub enum Slot {
     PackA,
     /// Packed B panels of the blocked GEMM.
     PackB,
-    /// im2col output (conv2d forward).
-    Col,
-    /// Gradient w.r.t. the im2col matrix (conv2d backward).
+    /// Zero-padded copy of a conv input, `[N, C, H+2p, W+2p]`, that the
+    /// GEMM's B packer gathers patches from (conv2d forward and weight
+    /// gradient; unused when the padding is zero).
+    Padded,
+    /// Gradient w.r.t. the unfolded patch matrix (conv2d input gradient,
+    /// folded back into the image by `col2im`).
     DCol,
     /// Per-chunk partial accumulators for parallel reductions.
     Partial,
-    /// Whole-batch GEMM product of the serial conv2d path, before the
-    /// epilogue scatters it into NCHW order.
+    /// GEMM product of one conv2d batch chunk, `[O, images·OH·OW]`,
+    /// before the epilogue scatters it into NCHW order.
     ConvOut,
 }
 
@@ -54,6 +59,7 @@ thread_local! {
     static SLOTS: RefCell<[Vec<f32>; SLOT_COUNT]> = const {
         RefCell::new([Vec::new(), Vec::new(), Vec::new(), Vec::new(), Vec::new(), Vec::new()])
     };
+    static OFFSETS: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Takes the thread's buffer for `slot`, zeroed and resized to `len`.
@@ -72,7 +78,22 @@ pub fn take(slot: Slot, len: usize) -> Vec<f32> {
 /// read — the GEMM packing routines — where the memset is pure overhead on
 /// small products.
 pub fn take_unzeroed(slot: Slot, len: usize) -> Vec<f32> {
-    let mut buf = SLOTS.with(|s| std::mem::take(&mut s.borrow_mut()[slot as usize]));
+    resized(SLOTS.with(|s| std::mem::take(&mut s.borrow_mut()[slot as usize])), len)
+}
+
+/// The thread's `usize` scratch buffer with `len` elements of unspecified
+/// contents — the conv patch offset tables. Pair with [`give_offsets`].
+pub(crate) fn take_offsets(len: usize) -> Vec<usize> {
+    resized(OFFSETS.with(|s| std::mem::take(&mut *s.borrow_mut())), len)
+}
+
+/// Returns a buffer taken with [`take_offsets`], keeping the larger one.
+pub(crate) fn give_offsets(buf: Vec<usize>) {
+    OFFSETS.with(|s| keep_larger(&mut s.borrow_mut(), buf));
+}
+
+/// Counts the take and truncates or grows `buf` to `len`.
+fn resized<T: Copy + Default>(mut buf: Vec<T>, len: usize) -> Vec<T> {
     cae_trace::counters(&[
         ("workspace.takes", 1),
         (
@@ -88,21 +109,22 @@ pub fn take_unzeroed(slot: Slot, len: usize) -> Vec<f32> {
         buf.truncate(len);
     } else {
         // Only the grown suffix is written; the warm-path cost is zero.
-        buf.resize(len, 0.0);
+        buf.resize(len, T::default());
     }
     buf
+}
+
+fn keep_larger<T>(resident: &mut Vec<T>, buf: Vec<T>) {
+    if resident.capacity() < buf.capacity() {
+        *resident = buf;
+    }
 }
 
 /// Returns a buffer taken with [`take`] so later calls on this thread can
 /// reuse its allocation. Keeps the larger of the incoming and resident
 /// buffers (re-entrant callers may give back in any order).
 pub fn give(slot: Slot, buf: Vec<f32>) {
-    SLOTS.with(|s| {
-        let resident = &mut s.borrow_mut()[slot as usize];
-        if resident.capacity() < buf.capacity() {
-            *resident = buf;
-        }
-    });
+    SLOTS.with(|s| keep_larger(&mut s.borrow_mut()[slot as usize], buf));
 }
 
 #[cfg(test)]
@@ -111,18 +133,18 @@ mod tests {
 
     #[test]
     fn take_returns_zeroed_buffer_of_requested_len() {
-        let mut buf = take(Slot::Col, 16);
+        let mut buf = take(Slot::Padded, 16);
         assert_eq!(buf.len(), 16);
         assert!(buf.iter().all(|&v| v == 0.0));
         buf.iter_mut().for_each(|v| *v = 7.0);
-        give(Slot::Col, buf);
+        give(Slot::Padded, buf);
         // The recycled buffer must be re-zeroed, including when shrinking
         // and growing across calls.
-        let again = take(Slot::Col, 8);
+        let again = take(Slot::Padded, 8);
         assert_eq!(again.len(), 8);
         assert!(again.iter().all(|&v| v == 0.0));
-        give(Slot::Col, again);
-        let grown = take(Slot::Col, 32);
+        give(Slot::Padded, again);
+        let grown = take(Slot::Padded, 32);
         assert_eq!(grown.len(), 32);
         assert!(grown.iter().all(|&v| v == 0.0));
     }

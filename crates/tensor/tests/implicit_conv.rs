@@ -1,0 +1,356 @@
+//! Bit-identity suite for the implicit-GEMM convolution.
+//!
+//! `conv2d_fused` and `conv2d_backward` never materialize the im2col
+//! column matrix: the GEMM's B packer gathers patches straight from the
+//! (padded) NCHW input. This suite keeps an explicit im2col plus the public
+//! strided [`gemm`] as a *test-local* reference — the lowering the kernels
+//! used before — and requires `to_bits()` equality with it for the forward
+//! output and for `dW`, `db` and `dx`, across kernel sizes, strides,
+//! paddings, non-square inputs, depth blocks past `KC`, column counts past
+//! the `NR` panel and the default `nc` block, and both forward chunk
+//! counts (one chunk, and one per budgeted thread).
+
+use cae_tensor::autotune::PARALLEL_FLOP_THRESHOLD;
+use cae_tensor::conv::{self, Conv2dSpec, ConvEpilogue};
+use cae_tensor::gemm::gemm;
+use cae_tensor::pool;
+use cae_tensor::rng::TensorRng;
+use cae_tensor::simd::vecmath;
+use cae_tensor::Tensor;
+use std::sync::Mutex;
+
+/// Mirrors the kernel's fixed backward batch chunking (`BACKWARD_CHUNKS`
+/// in `conv.rs`), which sets the `dW`/`db` reduction order.
+const BACKWARD_CHUNKS: usize = 16;
+
+/// Gives the process a 4-thread pool so top-level convs above the parallel
+/// cutoff take the multi-chunk body even on a 1- or 2-core host. Every test
+/// calls it before touching the pool; only the first call can size it.
+fn wide_pool() {
+    assert!(
+        pool::force_pool_size(4) >= 2,
+        "the pool must have worker threads"
+    );
+}
+
+/// Runs `f` inside a pool task, where the thread budget is 1, so conv2d
+/// takes its single-chunk body.
+fn with_budget_one<T: Send>(f: impl Fn() -> T + Sync) -> T {
+    let out = Mutex::new(None);
+    pool::parallel_for(2, |t| {
+        if t == 0 {
+            assert_eq!(pool::current_parallelism(), 1);
+            *out.lock().unwrap() = Some(f());
+        }
+    });
+    out.into_inner().unwrap().expect("task 0 ran")
+}
+
+/// Explicit im2col of one `[C, H, W]` image into `[C*k*k, OH*OW]`, zeros
+/// where a patch overlaps the padding.
+fn im2col(x: &[f32], c: usize, h: usize, w: usize, spec: Conv2dSpec) -> Vec<f32> {
+    let (k, s, p) = (spec.kernel, spec.stride, spec.padding);
+    let (oh, ow) = (spec.out_size(h), spec.out_size(w));
+    let mut col = vec![0.0f32; c * k * k * oh * ow];
+    for ci in 0..c {
+        for ki in 0..k {
+            for kj in 0..k {
+                let r = (ci * k + ki) * k + kj;
+                for oi in 0..oh {
+                    for oj in 0..ow {
+                        let (ii, jj) = (
+                            (oi * s + ki) as isize - p as isize,
+                            (oj * s + kj) as isize - p as isize,
+                        );
+                        if ii >= 0 && jj >= 0 && (ii as usize) < h && (jj as usize) < w {
+                            col[r * oh * ow + oi * ow + oj] =
+                                x[(ci * h + ii as usize) * w + jj as usize];
+                        }
+                    }
+                }
+            }
+        }
+    }
+    col
+}
+
+/// Adjoint of [`im2col`], accumulating in the kernel's `col2im` order
+/// (kernel row, then output row, then output column).
+fn col2im(col: &[f32], c: usize, h: usize, w: usize, spec: Conv2dSpec, x: &mut [f32]) {
+    let (k, s, p) = (spec.kernel, spec.stride, spec.padding);
+    let (oh, ow) = (spec.out_size(h), spec.out_size(w));
+    for ci in 0..c {
+        for ki in 0..k {
+            for kj in 0..k {
+                let r = (ci * k + ki) * k + kj;
+                for oi in 0..oh {
+                    for oj in 0..ow {
+                        let (ii, jj) = (
+                            (oi * s + ki) as isize - p as isize,
+                            (oj * s + kj) as isize - p as isize,
+                        );
+                        if ii >= 0 && jj >= 0 && (ii as usize) < h && (jj as usize) < w {
+                            x[(ci * h + ii as usize) * w + jj as usize] +=
+                                col[r * oh * ow + oi * ow + oj];
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Reference forward: one explicit im2col + GEMM per image, bias added
+/// exactly as the kernel's `ConvEpilogue::None` does.
+fn forward_ref(x: &Tensor, weight: &Tensor, bias: Option<&Tensor>, spec: Conv2dSpec) -> Vec<f32> {
+    let (n, c, h, w) = x.shape().nchw();
+    let o = weight.shape().dims()[0];
+    let ncols = spec.out_size(h) * spec.out_size(w);
+    let krows = c * spec.kernel * spec.kernel;
+    let mut out = vec![0.0f32; n * o * ncols];
+    for (ni, dst) in out.chunks_exact_mut(o * ncols).enumerate() {
+        let col = im2col(&x.data()[ni * c * h * w..][..c * h * w], c, h, w, spec);
+        gemm(
+            o,
+            ncols,
+            krows,
+            weight.data(),
+            (krows, 1),
+            &col,
+            (ncols, 1),
+            dst,
+            false,
+        );
+        if let Some(b) = bias {
+            for (oi, row) in dst.chunks_exact_mut(ncols).enumerate() {
+                vecmath::vec_add_scalar_inplace(row, b.data()[oi]);
+            }
+        }
+    }
+    out
+}
+
+/// Reference backward `(dx, dw, db)`: per-image `dW += go·colᵀ` and
+/// `db += Σ go` into per-chunk partials reduced in chunk order, and
+/// `dx = col2im(Wᵀ·go)`.
+fn backward_ref(
+    x: &Tensor,
+    weight: &Tensor,
+    go: &Tensor,
+    spec: Conv2dSpec,
+) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+    let (n, c, h, w) = x.shape().nchw();
+    let o = weight.shape().dims()[0];
+    let ncols = spec.out_size(h) * spec.out_size(w);
+    let krows = c * spec.kernel * spec.kernel;
+    let chunks = if 4 * n * o * krows * ncols >= PARALLEL_FLOP_THRESHOLD {
+        BACKWARD_CHUNKS.min(n)
+    } else {
+        1
+    };
+    let per_chunk = n.div_ceil(chunks);
+    let (mut dx, mut dw, mut db) = (
+        vec![0.0f32; n * c * h * w],
+        vec![0.0f32; o * krows],
+        vec![0.0f32; o],
+    );
+    for t in 0..n.div_ceil(per_chunk) {
+        let (mut dw_part, mut db_part) = (vec![0.0f32; o * krows], vec![0.0f32; o]);
+        for ni in t * per_chunk..n.min((t + 1) * per_chunk) {
+            let g = &go.data()[ni * o * ncols..][..o * ncols];
+            for (oi, d) in db_part.iter_mut().enumerate() {
+                *d += vecmath::vec_sum(&g[oi * ncols..][..ncols]);
+            }
+            let col = im2col(&x.data()[ni * c * h * w..][..c * h * w], c, h, w, spec);
+            gemm(
+                o,
+                krows,
+                ncols,
+                g,
+                (ncols, 1),
+                &col,
+                (1, ncols),
+                &mut dw_part,
+                true,
+            );
+            let mut dcol = vec![0.0f32; krows * ncols];
+            gemm(
+                krows,
+                ncols,
+                o,
+                weight.data(),
+                (1, krows),
+                g,
+                (ncols, 1),
+                &mut dcol,
+                false,
+            );
+            col2im(&dcol, c, h, w, spec, &mut dx[ni * c * h * w..][..c * h * w]);
+        }
+        dw.iter_mut().zip(&dw_part).for_each(|(d, p)| *d += p);
+        db.iter_mut().zip(&db_part).for_each(|(d, p)| *d += p);
+    }
+    (dx, dw, db)
+}
+
+fn assert_bits(label: &str, got: &[f32], want: &[f32]) {
+    assert_eq!(got.len(), want.len(), "{label}: length");
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        assert_eq!(g.to_bits(), w.to_bits(), "{label}[{i}]: {g} vs {w}");
+    }
+}
+
+/// A conv case: `x[n, c, h, w] * w[o, c, k, k]` under `spec`.
+struct Case {
+    x: Tensor,
+    weight: Tensor,
+    bias: Tensor,
+    go: Tensor,
+    spec: Conv2dSpec,
+}
+
+impl Case {
+    fn new(
+        seed: u64,
+        (n, c, h, w, o): (usize, usize, usize, usize, usize),
+        spec: Conv2dSpec,
+    ) -> Case {
+        let mut rng = TensorRng::seed_from(seed);
+        let (oh, ow) = (spec.out_size(h), spec.out_size(w));
+        Case {
+            x: rng.normal_tensor(&[n, c, h, w], 0.0, 1.0),
+            weight: rng.normal_tensor(&[o, c, spec.kernel, spec.kernel], 0.0, 0.3),
+            bias: rng.normal_tensor(&[o], 0.0, 0.1),
+            go: rng.normal_tensor(&[n, o, oh, ow], 0.0, 1.0),
+            spec,
+        }
+    }
+
+    fn label(&self) -> String {
+        format!(
+            "{:?} w{:?} {:?}",
+            self.x.shape().dims(),
+            self.weight.shape().dims(),
+            self.spec
+        )
+    }
+
+    /// Forward (with and without bias) and backward, at the current budget,
+    /// bit-equal to the explicit-im2col reference.
+    fn check(&self) {
+        let label = self.label();
+        let y = conv::conv2d(&self.x, &self.weight, None, self.spec);
+        assert_bits(
+            &format!("{label} forward"),
+            y.data(),
+            &forward_ref(&self.x, &self.weight, None, self.spec),
+        );
+        let yb = conv::conv2d(&self.x, &self.weight, Some(&self.bias), self.spec);
+        assert_bits(
+            &format!("{label} forward+bias"),
+            yb.data(),
+            &forward_ref(&self.x, &self.weight, Some(&self.bias), self.spec),
+        );
+        let (dx, dw, db) = conv::conv2d_backward(&self.x, &self.weight, &self.go, self.spec);
+        let (dx_ref, dw_ref, db_ref) = backward_ref(&self.x, &self.weight, &self.go, self.spec);
+        assert_bits(&format!("{label} dx"), dx.data(), &dx_ref);
+        assert_bits(&format!("{label} dw"), dw.data(), &dw_ref);
+        assert_bits(&format!("{label} db"), db.data(), &db_ref);
+    }
+}
+
+#[test]
+fn kernels_strides_paddings_and_non_square_inputs_match_explicit_im2col() {
+    wide_pool();
+    let mut seed = 0;
+    for kernel in [1, 3, 5] {
+        for stride in [1, 2, 3] {
+            for padding in [0, 1, 2] {
+                seed += 1;
+                Case::new(
+                    seed,
+                    (3, 3, 7, 9, 5),
+                    Conv2dSpec::new(kernel, stride, padding),
+                )
+                .check();
+            }
+        }
+    }
+}
+
+#[test]
+fn depth_past_the_kc_block_matches_explicit_im2col() {
+    wide_pool();
+    // krows = 32·9 = 288 > KC = 256: the second depth block reads the
+    // kernel-row offsets from index 256 on (forward), and the weight
+    // gradient's 288 patch columns cross the NR = 16 panel unevenly.
+    Case::new(40, (2, 32, 5, 6, 6), Conv2dSpec::new(3, 1, 1)).check();
+    Case::new(41, (3, 30, 6, 5, 4), Conv2dSpec::new(3, 2, 2)).check();
+}
+
+#[test]
+fn columns_past_the_panel_and_nc_blocks_match_explicit_im2col() {
+    wide_pool();
+    // N·OH·OW = 5·63 = 315 and 5·63 again at stride 2: past the default
+    // nc = 256 column block and not a multiple of the NR = 16 panel. Rows
+    // of 7 break every aligned run, so both take the lane gather.
+    Case::new(50, (5, 4, 9, 7, 6), Conv2dSpec::new(3, 1, 1)).check();
+    Case::new(51, (5, 4, 17, 13, 6), Conv2dSpec::new(3, 2, 1)).check();
+    // Output rows 8, 16 and 4 wide: every contiguous-run width.
+    Case::new(52, (3, 2, 8, 8, 3), Conv2dSpec::new(3, 1, 1)).check();
+    Case::new(53, (2, 2, 16, 16, 3), Conv2dSpec::new(3, 1, 1)).check();
+    Case::new(54, (4, 2, 4, 4, 3), Conv2dSpec::new(3, 1, 1)).check();
+}
+
+#[test]
+fn single_and_multi_chunk_bodies_match_explicit_im2col() {
+    wide_pool();
+    // 2·17·16·72·64 flops ≥ PARALLEL_FLOP_THRESHOLD: at the top level the
+    // forward splits into one chunk per budgeted thread; inside a pool task
+    // (budget 1) it runs as one chunk. Both must equal the reference.
+    let case = Case::new(60, (17, 8, 8, 8, 16), Conv2dSpec::new(3, 1, 1));
+    const { assert!(2 * 17 * 16 * 72 * 64 >= PARALLEL_FLOP_THRESHOLD) };
+    assert!(
+        pool::current_parallelism() > 1,
+        "top level must see the wide pool"
+    );
+    case.check();
+    with_budget_one(|| case.check());
+}
+
+#[test]
+fn batch_17_forward_is_bit_identical_to_batch_1_per_image() {
+    wide_pool();
+    let case = Case::new(70, (17, 8, 8, 8, 16), Conv2dSpec::new(3, 1, 1));
+    let (c, h, w) = (8, 8, 8);
+    for epilogue in [
+        ConvEpilogue::None,
+        ConvEpilogue::Relu,
+        ConvEpilogue::LeakyRelu(0.2),
+    ] {
+        let batched =
+            conv::conv2d_fused(&case.x, &case.weight, Some(&case.bias), case.spec, epilogue);
+        let serial = with_budget_one(|| {
+            conv::conv2d_fused(&case.x, &case.weight, Some(&case.bias), case.spec, epilogue)
+        });
+        assert_bits(
+            &format!("{epilogue:?} chunked vs one chunk"),
+            batched.data(),
+            serial.data(),
+        );
+        let per_image = batched.data().len() / 17;
+        for ni in 0..17 {
+            let xi = Tensor::from_vec(
+                case.x.data()[ni * c * h * w..][..c * h * w].to_vec(),
+                &[1, c, h, w],
+            )
+            .unwrap();
+            let yi = conv::conv2d_fused(&xi, &case.weight, Some(&case.bias), case.spec, epilogue);
+            assert_bits(
+                &format!("{epilogue:?} image {ni}"),
+                &batched.data()[ni * per_image..][..per_image],
+                yi.data(),
+            );
+        }
+    }
+}

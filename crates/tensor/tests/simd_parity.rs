@@ -88,7 +88,7 @@ proptest! {
     }
 
     /// conv2d forward + backward (dx ++ dw ++ db) bit-agree across
-    /// backends, including the packed-GEMM and im2col paths.
+    /// backends, including the packed-GEMM and implicit-im2col paths.
     #[test]
     fn conv2d_parity(seed in 0u64..1000, n in 1usize..3, c in 1usize..4, hw in 3usize..8, o in 1usize..5, stride in 1usize..3) {
         let mut rng = TensorRng::seed_from(seed);

@@ -20,6 +20,10 @@ CAE_TRACE=1 cargo test --offline --workspace -q
 CAE_SIMD=scalar cargo test --offline --workspace -q
 CAE_SIMD=scalar cargo test --release --offline -p cae-tensor --test simd_parity -q
 cargo test --release --offline -p cae-tensor --test simd_parity -q
+# The implicit-GEMM convolution must match an explicit im2col + GEMM
+# bit-for-bit (forward, dW, db, dx), under both backends.
+CAE_SIMD=scalar cargo test --release --offline -p cae-tensor --test implicit_conv -q
+cargo test --release --offline -p cae-tensor --test implicit_conv -q
 # ... and a traced table run must reproduce the untraced report
 # byte-for-byte.
 trace_tmp="$(mktemp -d)"
