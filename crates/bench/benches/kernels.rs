@@ -43,6 +43,7 @@ fn bench_conv2d(c: &mut Criterion) {
                 &w,
                 &y,
                 spec,
+                cae_tensor::conv::ConvGrads::ALL,
             ))
         })
     });
@@ -85,6 +86,7 @@ fn bench_dfkd_layer_shapes(c: &mut Criterion) {
                 &ws,
                 &y,
                 spec,
+                cae_tensor::conv::ConvGrads::ALL,
             ))
         })
     });

@@ -288,7 +288,15 @@ fn main() {
         "conv2d_backward",
         format!("{n}x{c}x{hh}x{ww}->{o}"),
         2 * conv_flops,
-        || black_box(conv::conv2d_backward(&x, &w, &y, spec)),
+        || {
+            black_box(conv::conv2d_backward(
+                &x,
+                &w,
+                &y,
+                spec,
+                conv::ConvGrads::ALL,
+            ))
+        },
         Some(&mut || black_box(conv2d_backward_naive(&x, &w, &y, spec))),
     ));
 

@@ -9,11 +9,11 @@
 //! same teacher concurrently, exactly one trains it and the rest block on
 //! the slot until the master is ready.
 //!
-//! The cached master is never handed out directly. DFKD's adversarial loss
-//! backpropagates into the teacher's parameter gradient buffers, so sharing
-//! the master's `Var`s across concurrent cells would cross-contaminate
-//! their gradients; [`pretrained`] therefore returns a private structural
-//! clone per call and the master stays read-only.
+//! The cached master is never handed out directly: [`pretrained`] returns a
+//! private structural clone per call (fresh `Var`s), so the master stays
+//! read-only. Callers may fine-tune their copy, and per-`Var` state such as
+//! the gradient-freeze flag a `DfkdTrainer` sets on its teacher stays
+//! private to the cell that set it.
 
 use crate::config::ExperimentBudget;
 use cae_data::dataset::Dataset;
@@ -101,6 +101,9 @@ pub fn train_supervised(
             step += 1;
         }
     }
+    // The trained model is used frozen from here on: drop the last step's
+    // gradient buffers instead of keeping them alive with it.
+    opt.zero_grad();
     last_loss
 }
 
@@ -109,8 +112,9 @@ pub fn train_supervised(
 /// the same key block until that single training run finishes) and serving
 /// every request from the cached master afterwards.
 ///
-/// The returned model is a private copy: callers may fine-tune it or
-/// backpropagate through it freely without affecting other cells.
+/// The returned model is a private copy with its own `Var`s: callers may
+/// fine-tune it, freeze its parameters or backpropagate through it without
+/// affecting the master or other cells.
 pub fn pretrained(
     key_prefix: &str,
     arch: Arch,

@@ -19,7 +19,7 @@ use crate::method::{EmbeddingKind, MethodSpec, StudentAug};
 use cae_nn::infer::{FreezeOptions, FrozenClassifier};
 use cae_nn::loss::{cross_entropy, kd_kl_divergence};
 use cae_nn::models::{DfkdGenerator, GeneratorConfig};
-use cae_nn::module::{Classifier, ForwardCtx, Generator, Module};
+use cae_nn::module::{Classifier, ForwardCtx, Generator, Module, ParamFreeze};
 use cae_nn::optim::{Adam, CosineSchedule, Optimizer, Sgd};
 use cae_tensor::rng::TensorRng;
 use cae_tensor::{Tensor, Var};
@@ -56,6 +56,9 @@ impl TrainStats {
 }
 
 /// Drives data-free distillation of `student` from a frozen `teacher`.
+///
+/// The trainer freezes the teacher's parameters (see [`ParamFreeze`]) until
+/// it is dropped.
 pub struct DfkdTrainer<'a> {
     teacher: &'a dyn Classifier,
     /// Graph-free compiled teacher for eval-mode forwards (teacher weights
@@ -77,7 +80,10 @@ pub struct DfkdTrainer<'a> {
     num_classes: usize,
     generator_width: usize,
     rng: TensorRng,
-    teacher_params: Vec<Var>,
+    /// The teacher's parameters stay frozen for the trainer's lifetime: the
+    /// generator step and inversion backpropagate through the teacher for
+    /// image gradients only, so no teacher weight gradient is computed.
+    _teacher_frozen: ParamFreeze,
 }
 
 impl<'a> DfkdTrainer<'a> {
@@ -117,7 +123,7 @@ impl<'a> DfkdTrainer<'a> {
         let schedule = CosineSchedule::new(config.student_lr, budget.total_student_steps());
         let memory = MemoryBank::new(config.memory_capacity, &[3, resolution, resolution]);
         DfkdTrainer {
-            teacher_params: teacher.parameters(),
+            _teacher_frozen: ParamFreeze::new(teacher),
             frozen_teacher: teacher.freeze_with(&FreezeOptions::fused()),
             teacher,
             student,
@@ -177,7 +183,6 @@ impl<'a> DfkdTrainer<'a> {
             let logits = Var::constant(self.frozen_teacher.forward(&images));
             let ce = cross_entropy(&logits, &labels).item();
             self.memory.push_batch(&images, &labels);
-            self.zero_teacher_grads();
             cae_trace::series("generator.loss", step, f64::from(ce));
             return ce;
         }
@@ -190,6 +195,10 @@ impl<'a> DfkdTrainer<'a> {
         let images = self.generator.generate(&z, &mut ForwardCtx::train());
         let mut t_ctx = ForwardCtx::eval_with_bn_stats();
         let t_logits = self.teacher.forward(&images, &mut t_ctx);
+        // The adversarial term reaches the student, but only the generator's
+        // gradients are read here: freeze the student through the backward
+        // so its weight gradients are never computed.
+        let student_frozen = ParamFreeze::new(self.student.as_ref());
         let s_logits = self.student.forward(&images, &mut ForwardCtx::eval());
         // Class-conditioned providers (label/CEND) can satisfy CE toward
         // their intended labels; an unconditional Gaussian generator cannot
@@ -205,13 +214,9 @@ impl<'a> DfkdTrainer<'a> {
             .add(&bn_loss(&t_ctx.bn_stats).scale(self.config.lambda_bn))
             .add(&adversarial_loss(&t_logits, &s_logits).scale(self.config.lambda_adv));
         self.opt_g.zero_grad();
-        // The adversarial term also reaches the student; clear any stale
-        // student gradients so they do not leak into the next student step.
-        self.opt_s.zero_grad();
         loss.backward();
+        drop(student_frozen);
         self.opt_g.step();
-        self.opt_s.zero_grad();
-        self.zero_teacher_grads();
         // Memory labels: the intended class when conditioned, the teacher's
         // pseudo-label otherwise.
         self.memory.push_batch(&images.to_tensor(), &ce_targets);
@@ -282,7 +287,6 @@ impl<'a> DfkdTrainer<'a> {
         loss.backward();
         self.opt_s.step();
         self.opt_s.zero_grad();
-        self.zero_teacher_grads();
         let item = loss.item();
         cae_trace::series("student.loss", step, f64::from(item));
         Some(item)
@@ -300,12 +304,6 @@ impl<'a> DfkdTrainer<'a> {
         let sim = ea.matmul_nt(&eb).scale(1.0 / 0.2);
         let targets: Vec<usize> = (0..n).collect();
         sim.log_softmax_rows().gather_rows(&targets).mean_all().neg()
-    }
-
-    fn zero_teacher_grads(&self) {
-        for p in &self.teacher_params {
-            p.zero_grad();
-        }
     }
 
     /// Steps taken so far by [`Self::generator_step`] — the step axis of
@@ -418,7 +416,6 @@ impl<'a> DfkdTrainer<'a> {
             }
             let coverage = seen.iter().filter(|&&s| s).count();
             let min_coverage = k.min(n).div_ceil(2);
-            self.zero_teacher_grads();
             if mean_max > confidence && coverage >= min_coverage {
                 return (step, start.elapsed());
             }
@@ -628,6 +625,50 @@ mod tests {
             "gemm stats + flops counter must yield derived throughput"
         );
         assert_eq!(profile.critical_path()[0].0, "experiment");
+    }
+
+    #[test]
+    fn generator_step_computes_no_teacher_or_student_gradients() {
+        let _guard = crate::trace_test_lock();
+        let (teacher, _) = tiny_setup();
+        let bits = |ps: &[Var]| -> Vec<Vec<u32>> {
+            ps.iter()
+                .map(|p| p.value().data().iter().map(|v| v.to_bits()).collect())
+                .collect()
+        };
+        for spec in [MethodSpec::cae_dfkd(3), MethodSpec::deepinv_like()] {
+            {
+                let mut t = tiny_trainer(teacher.as_ref(), &spec);
+                assert!(
+                    !teacher.parameters().iter().any(Var::requires_grad),
+                    "{}",
+                    spec.name
+                );
+                t.generator_step();
+                let student = t.student().parameters();
+                for p in teacher.parameters().iter().chain(&student) {
+                    assert!(
+                        p.grad().is_none(),
+                        "{}: a frozen model got a gradient",
+                        spec.name
+                    );
+                }
+                assert!(student.iter().all(Var::requires_grad), "{}", spec.name);
+                // SGD skips parameters without a gradient, so a student step
+                // that moves every parameter gave every one a gradient.
+                let before = bits(&student);
+                t.student_step().expect("memory holds the generated batch");
+                let after = bits(&student);
+                for (i, (b, a)) in before.iter().zip(&after).enumerate() {
+                    assert_ne!(b, a, "{}: student parameter {i} got no gradient", spec.name);
+                }
+            }
+            assert!(
+                teacher.parameters().iter().all(Var::requires_grad),
+                "{}: dropping the trainer must unfreeze the teacher",
+                spec.name
+            );
+        }
     }
 
     #[test]

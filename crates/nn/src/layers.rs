@@ -144,13 +144,6 @@ impl BatchNorm2d {
         self.running_var.lock().expect("BN stats lock poisoned").clone()
     }
 
-    fn batch_stats(&self, x: &Var) -> (Var, Var) {
-        let mean = x.mean_channels();
-        let centered = x.add_channels(&mean.neg());
-        let var = centered.square().mean_channels();
-        (mean, var)
-    }
-
     /// Snapshots `(gamma, beta, running_mean, running_var, eps)` for the
     /// frozen inference compiler.
     pub(crate) fn freeze_parts(&self) -> (Tensor, Tensor, Tensor, Tensor, f32) {
@@ -166,8 +159,14 @@ impl BatchNorm2d {
 
 impl Module for BatchNorm2d {
     fn forward(&self, x: &Var, ctx: &mut ForwardCtx) -> Var {
+        // Three fused nodes (mean, variance, normalization) replace the
+        // eight-op composition bit for bit. Mean and variance stay nodes of
+        // their own because `L_BN` reads them: their gradient must gather
+        // every consumer's share before it reaches `x`, in the composition's
+        // order.
         let (mean, var) = if ctx.training || ctx.collect_bn_stats {
-            let (m, v) = self.batch_stats(x);
+            let m = x.mean_channels();
+            let v = x.channel_var(&m);
             if ctx.collect_bn_stats {
                 ctx.bn_stats.push(BnBatchStats {
                     mean: m.clone(),
@@ -188,16 +187,15 @@ impl Module for BatchNorm2d {
             {
                 let mut rm = self.running_mean.lock().expect("BN stats lock poisoned");
                 let mut rv = self.running_var.lock().expect("BN stats lock poisoned");
-                let bm = m.to_tensor();
-                let bv = v.to_tensor();
-                *rm = rm.scale(1.0 - self.momentum).add(&bm.scale(self.momentum));
-                *rv = rv.scale(1.0 - self.momentum).add(&bv.scale(self.momentum));
+                *rm = rm
+                    .scale(1.0 - self.momentum)
+                    .add(&m.value().scale(self.momentum));
+                *rv = rv
+                    .scale(1.0 - self.momentum)
+                    .add(&v.value().scale(self.momentum));
             }
             let inv_std = v.add_scalar(self.eps).powf(-0.5);
-            x.add_channels(&m.neg())
-                .mul_channels(&inv_std)
-                .mul_channels(&self.gamma)
-                .add_channels(&self.beta)
+            x.channel_norm(&m, &inv_std, &self.gamma, &self.beta)
         } else {
             // Evaluation: normalize with frozen running statistics.
             let rm = Var::constant(self.running_mean());
@@ -205,10 +203,7 @@ impl Module for BatchNorm2d {
                 self.running_var()
                     .map(|v| 1.0 / (v + self.eps).sqrt()),
             );
-            x.add_channels(&rm.neg())
-                .mul_channels(&inv_std)
-                .mul_channels(&self.gamma)
-                .add_channels(&self.beta)
+            x.channel_norm(&rm, &inv_std, &self.gamma, &self.beta)
         }
     }
 
@@ -286,6 +281,140 @@ mod tests {
         bn.forward(&x, &mut ctx);
         assert_eq!(ctx.bn_stats.len(), 1);
         assert_eq!(ctx.bn_stats[0].mean.dims(), vec![4]);
+    }
+
+    /// The eight-op composition `BatchNorm2d::forward` ran before its fused
+    /// ops: the bit-identity reference.
+    fn composed_forward(bn: &BatchNorm2d, x: &Var, ctx: &mut ForwardCtx) -> Var {
+        let (mean, var) = if ctx.training || ctx.collect_bn_stats {
+            let m = x.mean_channels();
+            let v = x.add_channels(&m.neg()).square().mean_channels();
+            if ctx.collect_bn_stats {
+                ctx.bn_stats.push(BnBatchStats {
+                    mean: m.clone(),
+                    var: v.clone(),
+                    running_mean: bn.running_mean(),
+                    running_var: bn.running_var(),
+                });
+            }
+            (Some(m), Some(v))
+        } else {
+            (None, None)
+        };
+        if ctx.training {
+            let (m, v) = (mean.unwrap(), var.unwrap());
+            {
+                let mut rm = bn.running_mean.lock().unwrap();
+                let mut rv = bn.running_var.lock().unwrap();
+                let (bm, bv) = (m.to_tensor(), v.to_tensor());
+                *rm = rm.scale(1.0 - bn.momentum).add(&bm.scale(bn.momentum));
+                *rv = rv.scale(1.0 - bn.momentum).add(&bv.scale(bn.momentum));
+            }
+            let inv_std = v.add_scalar(bn.eps).powf(-0.5);
+            x.add_channels(&m.neg())
+                .mul_channels(&inv_std)
+                .mul_channels(&bn.gamma)
+                .add_channels(&bn.beta)
+        } else {
+            let rm = Var::constant(bn.running_mean());
+            let inv_std = Var::constant(bn.running_var().map(|v| 1.0 / (v + bn.eps).sqrt()));
+            x.add_channels(&rm.neg())
+                .mul_channels(&inv_std)
+                .mul_channels(&bn.gamma)
+                .add_channels(&bn.beta)
+        }
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Runs one BN forward + backward and returns every tensor the fused
+    /// version must reproduce bit for bit: output, collected statistics,
+    /// gradients of x/γ/β, and the updated running statistics.
+    fn bn_run(
+        fused: bool,
+        make_ctx: fn() -> ForwardCtx,
+        x0: &Tensor,
+        freeze_affine: bool,
+    ) -> Vec<Vec<u32>> {
+        let mut rng = TensorRng::seed_from(21);
+        let bn = BatchNorm2d::new(3);
+        bn.gamma.set_value(rng.normal_tensor(&[3], 1.0, 0.3));
+        bn.beta.set_value(rng.normal_tensor(&[3], 0.0, 0.3));
+        bn.set_buffers(&[
+            rng.normal_tensor(&[3], 0.0, 1.0),
+            rng.normal_tensor(&[3], 1.0, 0.1),
+        ]);
+        if freeze_affine {
+            bn.gamma.set_requires_grad(false);
+            bn.beta.set_requires_grad(false);
+        }
+        let x = Var::parameter(x0.clone());
+        let mut ctx = make_ctx();
+        let y = if fused {
+            bn.forward(&x, &mut ctx)
+        } else {
+            composed_forward(&bn, &x, &mut ctx)
+        };
+        let mut weighted = |v: &Var| {
+            v.mul_const(&rng.normal_tensor(&v.dims(), 0.0, 1.0))
+                .sum_all()
+        };
+        let mut loss = weighted(&y);
+        for st in &ctx.bn_stats {
+            loss = loss.add(&weighted(&st.mean)).add(&weighted(&st.var));
+        }
+        // A consumer of x built after the layer: its gradient reaches x
+        // first, so the layer's shares must follow in the composition's order.
+        loss = loss.add(&weighted(&x.square()));
+        loss.backward();
+        let mut out = vec![bits(&y.value())];
+        for st in &ctx.bn_stats {
+            out.push(bits(&st.mean.value()));
+            out.push(bits(&st.var.value()));
+        }
+        out.push(bits(&x.grad().unwrap()));
+        for p in [&bn.gamma, &bn.beta] {
+            out.push(p.grad().map_or_else(Vec::new, |g| bits(&g)));
+        }
+        out.push(bits(&bn.running_mean()));
+        out.push(bits(&bn.running_var()));
+        out
+    }
+
+    #[test]
+    fn fused_batchnorm_matches_the_composed_ops_bit_for_bit() {
+        let mut rng = TensorRng::seed_from(20);
+        let train_collect = || ForwardCtx {
+            collect_bn_stats: true,
+            ..ForwardCtx::train()
+        };
+        let ctxs = [
+            ForwardCtx::train as fn() -> ForwardCtx,
+            ForwardCtx::eval_with_bn_stats,
+            train_collect,
+            ForwardCtx::eval,
+        ];
+        for (shape, scale) in [
+            ([4usize, 3, 5, 5], 2.0f32),
+            ([2, 3, 1, 1], 0.5),
+            ([3, 3, 9, 7], 3.0),
+        ] {
+            let x0 = rng.normal_tensor(&shape, 0.7, scale);
+            for make_ctx in ctxs {
+                for freeze_affine in [false, true] {
+                    let fused = bn_run(true, make_ctx, &x0, freeze_affine);
+                    let composed = bn_run(false, make_ctx, &x0, freeze_affine);
+                    assert_eq!(
+                        fused,
+                        composed,
+                        "{:?} {shape:?} frozen affine: {freeze_affine}",
+                        make_ctx()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

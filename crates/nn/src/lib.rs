@@ -33,4 +33,4 @@ pub mod optim;
 pub mod serialize;
 
 pub use infer::{FreezeMode, FreezeOptions, FrozenClassifier, FrozenGenerator, QuantSpec};
-pub use module::{Classifier, ForwardCtx, Generator, Module};
+pub use module::{Classifier, ForwardCtx, Generator, Module, ParamFreeze};

@@ -124,6 +124,59 @@ pub fn copy_state(src: &dyn Module, dst: &dyn Module) {
     dst.set_buffers(&src.buffers());
 }
 
+/// Freezes a model's parameters for a scope. While the guard lives, no
+/// parameter accumulates a gradient, and ops that read only frozen
+/// parameters and constants record no backward closure, so backpropagating
+/// through the model computes input gradients only. Dropping the guard
+/// restores each parameter's previous flag, so guards nest.
+///
+/// Flags live on the parameters' `Var`s: every holder of a clone of those
+/// `Var`s sees the freeze.
+///
+/// ```
+/// use cae_nn::layers::Linear;
+/// use cae_nn::module::{Module, ParamFreeze};
+/// use cae_tensor::rng::TensorRng;
+///
+/// let layer = Linear::new(2, 3, &mut TensorRng::seed_from(0));
+/// {
+///     let _frozen = ParamFreeze::new(&layer);
+///     assert!(layer.parameters().iter().all(|p| !p.requires_grad()));
+/// }
+/// assert!(layer.parameters().iter().all(|p| p.requires_grad()));
+/// ```
+#[derive(Debug)]
+#[must_use = "the parameters unfreeze as soon as the guard is dropped"]
+pub struct ParamFreeze {
+    /// Each parameter with the flag it had before the freeze.
+    restore: Vec<(Var, bool)>,
+}
+
+impl ParamFreeze {
+    /// Freezes every parameter of `model` until the guard is dropped.
+    pub fn new(model: &dyn Module) -> Self {
+        let restore = model
+            .parameters()
+            .into_iter()
+            .map(|p| {
+                let was = p.requires_grad();
+                p.set_requires_grad(false);
+                (p, was)
+            })
+            .collect();
+        ParamFreeze { restore }
+    }
+}
+
+impl Drop for ParamFreeze {
+    fn drop(&mut self) {
+        // Cannot panic: `new` already set the flag on these same leaves.
+        for (p, was) in &self.restore {
+            p.set_requires_grad(*was);
+        }
+    }
+}
+
 /// An image classifier exposing its penultimate embedding.
 ///
 /// CAE-DFKD's CNCL loss contrasts *student embeddings* of generated images,
@@ -176,6 +229,27 @@ mod tests {
         assert_send_sync::<dyn Classifier>();
         assert_send_sync::<dyn Generator>();
         assert_send_sync::<Box<dyn Classifier>>();
+    }
+
+    #[test]
+    fn param_freeze_nests_and_restores_prior_flags() {
+        let mut rng = cae_tensor::rng::TensorRng::seed_from(0);
+        let layer = crate::layers::Linear::new(2, 3, &mut rng);
+        let params = layer.parameters();
+        params[1].set_requires_grad(false);
+        {
+            let _outer = ParamFreeze::new(&layer);
+            {
+                let _inner = ParamFreeze::new(&layer);
+                assert!(params.iter().all(|p| !p.requires_grad()));
+            }
+            assert!(params.iter().all(|p| !p.requires_grad()));
+        }
+        assert!(params[0].requires_grad());
+        assert!(
+            !params[1].requires_grad(),
+            "a leaf frozen before the guard stays frozen"
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Differentiable convolution, pooling and upsampling on [`Var`].
 
-use super::Var;
-use crate::conv::{self, Conv2dSpec};
+use super::{with_values, Var};
+use crate::conv::{self, Conv2dSpec, ConvGrads};
 
 impl Var {
     /// 2-d convolution `self[N,C,H,W] * weight[O,C,k,k] (+ bias[O])`.
@@ -10,12 +10,9 @@ impl Var {
     /// Panics if the shapes are inconsistent with `spec` (see
     /// [`conv::conv2d`]).
     pub fn conv2d(&self, weight: &Var, bias: Option<&Var>, spec: Conv2dSpec) -> Var {
-        let value = conv::conv2d(
-            &self.value(),
-            &weight.value(),
-            bias.map(|b| b.to_tensor()).as_ref(),
-            spec,
-        );
+        let value = with_values(self, weight, |x, w| {
+            conv::conv2d(x, w, bias.map(|b| b.value()).as_deref(), spec)
+        });
         let mut parents = vec![self.clone(), weight.clone()];
         if let Some(b) = bias {
             parents.push(b.clone());
@@ -24,13 +21,21 @@ impl Var {
             value,
             parents,
             Box::new(move |g, parents| {
-                let x = parents[0].to_tensor();
-                let w = parents[1].to_tensor();
-                let (dx, dw, db) = conv::conv2d_backward(&x, &w, g, spec);
-                parents[0].accum(&dx);
-                parents[1].accum(&dw);
-                if let Some(b) = parents.get(2) {
-                    b.accum(&db);
+                let want = ConvGrads {
+                    input: parents[0].requires_grad(),
+                    weight: parents[1..].iter().any(Var::requires_grad),
+                };
+                let (dx, dwb) = with_values(&parents[0], &parents[1], |x, w| {
+                    conv::conv2d_backward(x, w, &g, spec, want)
+                });
+                if let Some(dx) = dx {
+                    parents[0].accum(dx);
+                }
+                if let Some((dw, db)) = dwb {
+                    parents[1].accum(dw);
+                    if let Some(b) = parents.get(2) {
+                        b.accum(db);
+                    }
                 }
             }),
         )
@@ -47,7 +52,7 @@ impl Var {
             value,
             vec![self.clone()],
             Box::new(move |g, parents| {
-                parents[0].accum(&conv::avg_pool2d_backward(shape, g, kernel, stride));
+                parents[0].accum(conv::avg_pool2d_backward(shape, &g, kernel, stride));
             }),
         )
     }
@@ -63,7 +68,7 @@ impl Var {
             value,
             vec![self.clone()],
             Box::new(move |g, parents| {
-                parents[0].accum(&conv::max_pool2d_backward(shape, g, &argmax));
+                parents[0].accum(conv::max_pool2d_backward(shape, &g, &argmax));
             }),
         )
     }
@@ -76,10 +81,12 @@ impl Var {
         let (n, c, h, w) = self.value().shape().nchw();
         let hw = h * w;
         let inv = 1.0 / hw as f32;
-        let x = self.to_tensor();
         let mut out = crate::Tensor::zeros(&[n, c]);
-        for nc in 0..n * c {
-            out.data_mut()[nc] = x.data()[nc * hw..(nc + 1) * hw].iter().sum::<f32>() * inv;
+        {
+            let x = self.value();
+            for nc in 0..n * c {
+                out.data_mut()[nc] = x.data()[nc * hw..(nc + 1) * hw].iter().sum::<f32>() * inv;
+            }
         }
         Var::from_op(
             out,
@@ -92,7 +99,7 @@ impl Var {
                         *v += gv;
                     }
                 }
-                parents[0].accum(&dx);
+                parents[0].accum(dx);
             }),
         )
     }
@@ -109,7 +116,7 @@ impl Var {
             value,
             vec![self.clone()],
             Box::new(move |g, parents| {
-                parents[0].accum(&conv::upsample_nearest2d_backward(shape, g, scale));
+                parents[0].accum(conv::upsample_nearest2d_backward(shape, &g, scale));
             }),
         )
     }

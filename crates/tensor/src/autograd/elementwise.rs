@@ -6,7 +6,7 @@
 //! and multiply by the incoming gradient in one pass instead of
 //! materializing a mask tensor first.
 
-use super::Var;
+use super::{with_values, Var};
 use crate::simd::vecmath;
 use crate::tensor::Tensor;
 
@@ -21,13 +21,17 @@ impl Var {
     /// # Panics
     /// Panics if the shapes differ.
     pub fn add(&self, other: &Var) -> Var {
-        let value = self.value().add(&other.value());
+        let value = with_values(self, other, Tensor::add);
         Var::from_op(
             value,
             vec![self.clone(), other.clone()],
             Box::new(|g, parents| {
-                parents[0].accum(g);
-                parents[1].accum(g);
+                if parents[1].requires_grad() {
+                    parents[0].accum(g.clone());
+                    parents[1].accum(g);
+                } else {
+                    parents[0].accum(g);
+                }
             }),
         )
     }
@@ -37,13 +41,16 @@ impl Var {
     /// # Panics
     /// Panics if the shapes differ.
     pub fn sub(&self, other: &Var) -> Var {
-        let value = self.value().sub(&other.value());
+        let value = with_values(self, other, Tensor::sub);
         Var::from_op(
             value,
             vec![self.clone(), other.clone()],
             Box::new(|g, parents| {
+                let neg = parents[1].requires_grad().then(|| g.scale(-1.0));
                 parents[0].accum(g);
-                parents[1].accum(&g.scale(-1.0));
+                if let Some(neg) = neg {
+                    parents[1].accum(neg);
+                }
             }),
         )
     }
@@ -53,15 +60,22 @@ impl Var {
     /// # Panics
     /// Panics if the shapes differ.
     pub fn mul(&self, other: &Var) -> Var {
-        let value = self.value().mul(&other.value());
+        let value = with_values(self, other, Tensor::mul);
         Var::from_op(
             value,
             vec![self.clone(), other.clone()],
             Box::new(|g, parents| {
-                let a = parents[0].to_tensor();
-                let b = parents[1].to_tensor();
-                parents[0].accum(&g.mul(&b));
-                parents[1].accum(&g.mul(&a));
+                let (da, db) = with_values(&parents[0], &parents[1], |a, b| {
+                    let da = parents[0].requires_grad().then(|| g.mul(b));
+                    let db = parents[1].requires_grad().then(|| g.mul(a));
+                    (da, db)
+                });
+                if let Some(da) = da {
+                    parents[0].accum(da);
+                }
+                if let Some(db) = db {
+                    parents[1].accum(db);
+                }
             }),
         )
     }
@@ -72,7 +86,7 @@ impl Var {
         Var::from_op(
             value,
             vec![self.clone()],
-            Box::new(move |g, parents| parents[0].accum(&g.scale(s))),
+            Box::new(move |g, parents| parents[0].accum(g.scale(s))),
         )
     }
 
@@ -99,8 +113,8 @@ impl Var {
             value,
             vec![self.clone()],
             Box::new(|g, parents| {
-                let x = parents[0].to_tensor();
-                parents[0].accum(&g.mul(&x.scale(2.0)));
+                let dx = g.mul(&parents[0].value().scale(2.0));
+                parents[0].accum(dx);
             }),
         )
     }
@@ -115,9 +129,8 @@ impl Var {
             value,
             vec![self.clone()],
             Box::new(move |g, parents| {
-                let x = parents[0].to_tensor();
-                let d = x.map(|v| p * v.max(1e-12).powf(p - 1.0));
-                parents[0].accum(&g.mul(&d));
+                let d = parents[0].value().map(|v| p * v.max(1e-12).powf(p - 1.0));
+                parents[0].accum(g.mul(&d));
             }),
         )
     }
@@ -131,10 +144,9 @@ impl Var {
             like(&x, out),
             vec![self.clone()],
             Box::new(|g, parents| {
-                let x = parents[0].to_tensor();
-                let mut dx = vec![0.0f32; x.data().len()];
-                vecmath::vec_relu_grad(x.data(), g.data(), &mut dx);
-                parents[0].accum(&like(&x, dx));
+                let mut dx = vec![0.0f32; g.data().len()];
+                vecmath::vec_relu_grad(parents[0].value().data(), g.data(), &mut dx);
+                parents[0].accum(like(&g, dx));
             }),
         )
     }
@@ -148,10 +160,9 @@ impl Var {
             like(&x, out),
             vec![self.clone()],
             Box::new(move |g, parents| {
-                let x = parents[0].to_tensor();
-                let mut dx = vec![0.0f32; x.data().len()];
-                vecmath::vec_leaky_relu_grad(x.data(), g.data(), slope, &mut dx);
-                parents[0].accum(&like(&x, dx));
+                let mut dx = vec![0.0f32; g.data().len()];
+                vecmath::vec_leaky_relu_grad(parents[0].value().data(), g.data(), slope, &mut dx);
+                parents[0].accum(like(&g, dx));
             }),
         )
     }
@@ -169,7 +180,7 @@ impl Var {
             Box::new(move |g, parents| {
                 let mut dx = vec![0.0f32; saved.data().len()];
                 vecmath::vec_tanh_grad(saved.data(), g.data(), &mut dx);
-                parents[0].accum(&like(&saved, dx));
+                parents[0].accum(like(&saved, dx));
             }),
         )
     }
@@ -187,7 +198,7 @@ impl Var {
             Box::new(move |g, parents| {
                 let mut dx = vec![0.0f32; saved.data().len()];
                 vecmath::vec_sigmoid_grad(saved.data(), g.data(), &mut dx);
-                parents[0].accum(&like(&saved, dx));
+                parents[0].accum(like(&saved, dx));
             }),
         )
     }
@@ -199,8 +210,7 @@ impl Var {
             value,
             vec![self.clone()],
             Box::new(|g, parents| {
-                let x = parents[0].to_tensor();
-                let sign = x.map(|v| {
+                let sign = parents[0].value().map(|v| {
                     if v > 0.0 {
                         1.0
                     } else if v < 0.0 {
@@ -209,7 +219,7 @@ impl Var {
                         0.0
                     }
                 });
-                parents[0].accum(&g.mul(&sign));
+                parents[0].accum(g.mul(&sign));
             }),
         )
     }
@@ -224,7 +234,7 @@ impl Var {
         Var::from_op(
             value,
             vec![self.clone()],
-            Box::new(move |g, parents| parents[0].accum(&g.mul(&saved))),
+            Box::new(move |g, parents| parents[0].accum(g.mul(&saved))),
         )
     }
 
@@ -235,9 +245,8 @@ impl Var {
             value,
             vec![self.clone()],
             Box::new(|g, parents| {
-                let x = parents[0].to_tensor();
-                let d = x.map(|v| 1.0 / v.max(1e-12));
-                parents[0].accum(&g.mul(&d));
+                let d = parents[0].value().map(|v| 1.0 / v.max(1e-12));
+                parents[0].accum(g.mul(&d));
             }),
         )
     }
@@ -253,7 +262,7 @@ impl Var {
         Var::from_op(
             value,
             vec![self.clone()],
-            Box::new(move |g, parents| parents[0].accum(&g.mul(&saved))),
+            Box::new(move |g, parents| parents[0].accum(g.mul(&saved))),
         )
     }
 }

@@ -1,6 +1,6 @@
 //! Differentiable linear-algebra operations on [`Var`].
 
-use super::Var;
+use super::{with_values, Var};
 use crate::linalg;
 
 impl Var {
@@ -9,16 +9,23 @@ impl Var {
     /// # Panics
     /// Panics if either operand is not 2-d or the inner dimensions disagree.
     pub fn matmul(&self, rhs: &Var) -> Var {
-        let value = linalg::matmul(&self.value(), &rhs.value());
+        let value = with_values(self, rhs, linalg::matmul);
         Var::from_op(
             value,
             vec![self.clone(), rhs.clone()],
             Box::new(|g, parents| {
-                let a = parents[0].to_tensor();
-                let b = parents[1].to_tensor();
                 // dA = g × Bᵀ ; dB = Aᵀ × g
-                parents[0].accum(&linalg::matmul_nt(g, &b));
-                parents[1].accum(&linalg::matmul_tn(&a, g));
+                let (da, db) = with_values(&parents[0], &parents[1], |a, b| {
+                    let da = parents[0].requires_grad().then(|| linalg::matmul_nt(&g, b));
+                    let db = parents[1].requires_grad().then(|| linalg::matmul_tn(a, &g));
+                    (da, db)
+                });
+                if let Some(da) = da {
+                    parents[0].accum(da);
+                }
+                if let Some(db) = db {
+                    parents[1].accum(db);
+                }
             }),
         )
     }
@@ -29,16 +36,23 @@ impl Var {
     /// # Panics
     /// Panics if either operand is not 2-d or the shared dimension disagrees.
     pub fn matmul_nt(&self, rhs: &Var) -> Var {
-        let value = linalg::matmul_nt(&self.value(), &rhs.value());
+        let value = with_values(self, rhs, linalg::matmul_nt);
         Var::from_op(
             value,
             vec![self.clone(), rhs.clone()],
             Box::new(|g, parents| {
-                let a = parents[0].to_tensor();
-                let b = parents[1].to_tensor();
                 // y = A Bᵀ : dA = g × B ; dB = gᵀ × A
-                parents[0].accum(&linalg::matmul(g, &b));
-                parents[1].accum(&linalg::matmul_tn(g, &a));
+                let (da, db) = with_values(&parents[0], &parents[1], |a, b| {
+                    let da = parents[0].requires_grad().then(|| linalg::matmul(&g, b));
+                    let db = parents[1].requires_grad().then(|| linalg::matmul_tn(&g, a));
+                    (da, db)
+                });
+                if let Some(da) = da {
+                    parents[0].accum(da);
+                }
+                if let Some(db) = db {
+                    parents[1].accum(db);
+                }
             }),
         )
     }
@@ -58,22 +72,21 @@ impl Var {
                 b.shape()
             );
         }
-        let mut value = self.to_tensor();
-        {
-            let bd = bias.value();
+        let value = with_values(self, bias, |x, bd| {
+            let mut value = x.clone();
             let vd = value.data_mut();
             for i in 0..n {
                 for (v, &b) in vd[i * d..(i + 1) * d].iter_mut().zip(bd.data()) {
                     *v += b;
                 }
             }
-        }
+            value
+        });
         Var::from_op(
             value,
             vec![self.clone(), bias.clone()],
             Box::new(move |g, parents| {
-                parents[0].accum(g);
-                if parents[1].requires_grad() {
+                let db = parents[1].requires_grad().then(|| {
                     let mut db = crate::Tensor::zeros(&[d]);
                     let dbd = db.data_mut();
                     for i in 0..n {
@@ -81,7 +94,11 @@ impl Var {
                             dbd[j] += gv;
                         }
                     }
-                    parents[1].accum(&db);
+                    db
+                });
+                parents[0].accum(g);
+                if let Some(db) = db {
+                    parents[1].accum(db);
                 }
             }),
         )
@@ -94,14 +111,13 @@ impl Var {
     /// Panics if `self` is not 2-d.
     pub fn l2_normalize_rows(&self) -> Var {
         let (n, d) = self.value().shape().matrix();
-        let x = self.to_tensor();
+        let mut value = self.to_tensor();
         let norms: Vec<f32> = (0..n)
             .map(|i| {
-                let s: f32 = x.data()[i * d..(i + 1) * d].iter().map(|v| v * v).sum();
+                let s: f32 = value.data()[i * d..(i + 1) * d].iter().map(|v| v * v).sum();
                 s.sqrt().max(1e-8)
             })
             .collect();
-        let mut value = x.clone();
         for (i, &nm) in norms.iter().enumerate() {
             let inv = 1.0 / nm;
             for v in &mut value.data_mut()[i * d..(i + 1) * d] {
@@ -122,9 +138,7 @@ impl Var {
                     let inv = 1.0 / nm;
                     dx.extend((0..d).map(|j| (grow[j] - yrow[j] * dot) * inv));
                 }
-                parents[0].accum(
-                    &crate::Tensor::from_vec(dx, &[n, d]).expect("shape consistent"),
-                );
+                parents[0].accum(crate::Tensor::from_vec(dx, &[n, d]).expect("shape consistent"));
             }),
         )
     }

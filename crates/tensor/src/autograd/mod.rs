@@ -6,9 +6,20 @@
 //! creation order, accumulating gradients into leaves created with
 //! [`Var::parameter`].
 //!
-//! Nodes whose inputs do not require gradients skip closure construction
-//! entirely, so running a frozen teacher network under autograd costs the
-//! same as a plain forward pass.
+//! Gradients are computed only where someone reads them. A leaf can be
+//! frozen with [`Var::set_requires_grad`]; an op whose every input is
+//! frozen or constant records no backward closure at all. A closure whose
+//! op has a trainable input computes only the gradients of the inputs that
+//! require one: a conv behind a frozen weight computes `dx` but not
+//! `dW`/`db`, and a conv on a constant input computes `dW`/`db` but not
+//! `dx`. Backpropagating into an image through a frozen network therefore
+//! costs one input-gradient pass per layer and no weight-gradient work.
+//! Skipping a gradient never changes one that is computed: each computed
+//! gradient keeps its own FMA chain and accumulation order.
+//!
+//! Closures borrow their inputs' values through read guards rather than
+//! cloning them, and hand each freshly computed gradient to the parent by
+//! move.
 //!
 //! # Threading model
 //!
@@ -29,7 +40,7 @@ mod structure;
 use crate::tensor::Tensor;
 use std::collections::HashSet;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
 
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
@@ -38,15 +49,19 @@ fn next_id() -> u64 {
     NEXT_ID.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Backward closure: receives the output gradient and the parent nodes and
-/// accumulates into each parent that requires a gradient.
-pub(crate) type BackwardFn = Box<dyn Fn(&Tensor, &[Var]) + Send + Sync>;
+/// Backward closure: receives the output gradient (by value) and the parent
+/// nodes and accumulates into each parent that requires a gradient.
+pub(crate) type BackwardFn = Box<dyn Fn(Tensor, &[Var]) + Send + Sync>;
 
 pub(crate) struct VarNode {
     id: u64,
     value: RwLock<Tensor>,
     grad: Mutex<Option<Tensor>>,
-    requires_grad: bool,
+    /// Fixed at construction for op outputs; leaves may flip it with
+    /// [`Var::set_requires_grad`]. `Relaxed` suffices: the flag guards no
+    /// other data, and a model's flags are set by the thread that runs its
+    /// tape.
+    requires_grad: AtomicBool,
     parents: Vec<Var>,
     backward: Option<BackwardFn>,
 }
@@ -70,7 +85,7 @@ impl fmt::Debug for Var {
         f.debug_struct("Var")
             .field("id", &self.0.id)
             .field("shape", &self.value().shape().dims())
-            .field("requires_grad", &self.0.requires_grad)
+            .field("requires_grad", &self.requires_grad())
             .finish()
     }
 }
@@ -82,7 +97,7 @@ impl Var {
             id: next_id(),
             value: RwLock::new(value),
             grad: Mutex::new(None),
-            requires_grad: false,
+            requires_grad: AtomicBool::new(false),
             parents: Vec::new(),
             backward: None,
         }))
@@ -94,7 +109,7 @@ impl Var {
             id: next_id(),
             value: RwLock::new(value),
             grad: Mutex::new(None),
-            requires_grad: true,
+            requires_grad: AtomicBool::new(true),
             parents: Vec::new(),
             backward: None,
         }))
@@ -103,12 +118,12 @@ impl Var {
     /// Builds an interior node. If no parent requires a gradient the backward
     /// closure is dropped and the node degenerates to a constant.
     pub(crate) fn from_op(value: Tensor, parents: Vec<Var>, backward: BackwardFn) -> Var {
-        let requires = parents.iter().any(|p| p.0.requires_grad);
+        let requires = parents.iter().any(Var::requires_grad);
         Var(Arc::new(VarNode {
             id: next_id(),
             value: RwLock::new(value),
             grad: Mutex::new(None),
-            requires_grad: requires,
+            requires_grad: AtomicBool::new(requires),
             parents: if requires { parents } else { Vec::new() },
             backward: if requires { Some(backward) } else { None },
         }))
@@ -121,7 +136,25 @@ impl Var {
 
     /// Whether this node participates in gradient computation.
     pub fn requires_grad(&self) -> bool {
-        self.0.requires_grad
+        self.0.requires_grad.load(Ordering::Relaxed)
+    }
+
+    /// Freezes (`false`) or unfreezes (`true`) a leaf. A frozen leaf
+    /// accumulates no gradient, and ops built only from frozen or constant
+    /// inputs record no backward closure. Freeze before the forward pass to
+    /// prune the graph; a leaf frozen between forward and backward still
+    /// receives nothing.
+    ///
+    /// # Panics
+    /// Panics if this node is the output of a differentiable op: its flag
+    /// follows its inputs.
+    pub fn set_requires_grad(&self, requires_grad: bool) {
+        assert!(
+            self.0.backward.is_none(),
+            "set_requires_grad on node {}: only leaves can be frozen or unfrozen",
+            self.0.id
+        );
+        self.0.requires_grad.store(requires_grad, Ordering::Relaxed);
     }
 
     /// Borrows the tensor value (a shared read lock).
@@ -183,15 +216,16 @@ impl Var {
         Var::constant(self.to_tensor())
     }
 
-    /// Accumulates `g` into this node's gradient buffer.
-    pub(crate) fn accum(&self, g: &Tensor) {
-        if !self.0.requires_grad {
+    /// Accumulates `g` into this node's gradient buffer; the first gradient
+    /// moves in.
+    pub(crate) fn accum(&self, g: Tensor) {
+        if !self.requires_grad() {
             return;
         }
         let mut slot = self.0.grad.lock().expect("Var grad lock poisoned");
         match slot.as_mut() {
-            Some(existing) => existing.add_assign_scaled(g, 1.0),
-            None => *slot = Some(g.clone()),
+            Some(existing) => existing.add_assign_scaled(&g, 1.0),
+            None => *slot = Some(g),
         }
     }
 
@@ -201,7 +235,7 @@ impl Var {
     /// Gradients accumulate into every reachable [`Var::parameter`] leaf;
     /// call [`Var::zero_grad`] (or an optimizer's `zero_grad`) between steps.
     pub fn backward(&self) {
-        if !self.0.requires_grad {
+        if !self.requires_grad() {
             return;
         }
         let seed = {
@@ -221,14 +255,14 @@ impl Var {
             self.value().shape(),
             "backward seed shape must match the output shape"
         );
-        self.accum(&seed);
+        self.accum(seed);
 
         // Collect the reachable subgraph that requires gradients.
         let mut nodes: Vec<Var> = Vec::new();
         let mut seen: HashSet<u64> = HashSet::new();
         let mut stack: Vec<Var> = vec![self.clone()];
         while let Some(v) = stack.pop() {
-            if !v.0.requires_grad || !seen.insert(v.0.id) {
+            if !v.requires_grad() || !seen.insert(v.0.id) {
                 continue;
             }
             for p in &v.0.parents {
@@ -244,12 +278,28 @@ impl Var {
             let Some(backward) = node.0.backward.as_ref() else {
                 continue;
             };
-            // Interior nodes consume their gradient; leaves keep theirs.
+            // Interior nodes consume their gradient; leaves keep theirs. A
+            // node whose inputs were all frozen after it was built has no
+            // gradient to pass on.
             let grad = node.0.grad.lock().expect("Var grad lock poisoned").take();
             if let Some(g) = grad {
-                backward(&g, &node.0.parents);
+                if node.0.parents.iter().any(Var::requires_grad) {
+                    backward(g, &node.0.parents);
+                }
             }
         }
+    }
+}
+
+/// Runs `f` on the values of `a` and `b` under read guards. When both are
+/// the same node (`x.mul(&x)`) it takes a single guard: std's `RwLock` does
+/// not promise that one thread may hold two read guards on one lock.
+pub(crate) fn with_values<R>(a: &Var, b: &Var, f: impl FnOnce(&Tensor, &Tensor) -> R) -> R {
+    if Arc::ptr_eq(&a.0, &b.0) {
+        let v = a.value();
+        f(&v, &v)
+    } else {
+        f(&a.value(), &b.value())
     }
 }
 
@@ -275,6 +325,45 @@ mod tests {
         let y = sq.add(&sq);
         y.backward();
         assert_eq!(x.grad().unwrap().item(), 12.0);
+    }
+
+    #[test]
+    fn ops_with_one_node_as_both_parents_backpropagate() {
+        // Both parents are the same node, so the borrowing closures must take
+        // a single read guard on its value.
+        let x = Var::parameter(Tensor::from_vec(vec![1.0, -2.0, 3.0], &[3]).unwrap());
+        x.mul(&x).sum_all().backward();
+        assert_eq!(x.take_grad().unwrap().data(), &[2.0, -4.0, 6.0]);
+        x.add(&x).sum_all().backward();
+        assert_eq!(x.take_grad().unwrap().data(), &[2.0; 3]);
+        x.sub(&x).sum_all().backward();
+        assert_eq!(x.take_grad().unwrap().data(), &[0.0; 3]);
+
+        // sum(X Xᵀ) = Σ_ij <x_i, x_j>; its gradient is 2 Σ_j x_j per row.
+        let m = Var::parameter(Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]).unwrap());
+        m.matmul_nt(&m).sum_all().backward();
+        assert_eq!(m.take_grad().unwrap().data(), &[8.0, 12.0, 8.0, 12.0]);
+        let c = Var::concat0(&[m.clone(), m.clone()]);
+        assert_eq!(c.dims(), vec![4, 2]);
+        c.sum_all().backward();
+        assert_eq!(m.take_grad().unwrap().data(), &[2.0; 4]);
+    }
+
+    #[test]
+    fn frozen_leaves_prune_the_graph_and_receive_nothing() {
+        let w = Var::parameter(Tensor::scalar(2.0));
+        let x = Var::parameter(Tensor::scalar(3.0));
+        w.set_requires_grad(false);
+        assert!(
+            !w.square().requires_grad(),
+            "an op on frozen leaves is a constant"
+        );
+        x.mul(&w).backward();
+        assert_eq!(x.grad().unwrap().item(), 2.0);
+        assert!(w.grad().is_none());
+        w.set_requires_grad(true);
+        x.mul(&w).backward();
+        assert_eq!(w.grad().unwrap().item(), 3.0);
     }
 
     #[test]

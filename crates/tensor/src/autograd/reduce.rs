@@ -4,7 +4,7 @@
 //! per-row/per-channel reductions use its fixed 8-lane accumulation order,
 //! so results are identical across backends.
 
-use super::Var;
+use super::{with_values, Var};
 use crate::simd::vecmath;
 use crate::tensor::Tensor;
 
@@ -17,7 +17,7 @@ impl Var {
             value,
             vec![self.clone()],
             Box::new(move |g, parents| {
-                parents[0].accum(&Tensor::full(&dims, g.item()));
+                parents[0].accum(Tensor::full(&dims, g.item()));
             }),
         )
     }
@@ -34,7 +34,7 @@ impl Var {
     /// Panics if `self` is not 2-d.
     pub fn log_softmax_rows(&self) -> Var {
         let (n, k) = self.value().shape().matrix();
-        let x = self.to_tensor();
+        let x = self.value();
         let mut out = vec![0.0f32; n * k];
         let mut exps = vec![0.0f32; k];
         for i in 0..n {
@@ -60,7 +60,7 @@ impl Var {
                     vecmath::vec_exp(&logp.data()[i * k..(i + 1) * k], dxrow);
                     vecmath::vec_scale_add_inplace(dxrow, -gsum, grow);
                 }
-                parents[0].accum(&Tensor::from_vec(dx, &[n, k]).expect("shape consistent"));
+                parents[0].accum(Tensor::from_vec(dx, &[n, k]).expect("shape consistent"));
             }),
         )
     }
@@ -73,7 +73,7 @@ impl Var {
     pub fn gather_rows(&self, idx: &[usize]) -> Var {
         let (n, k) = self.value().shape().matrix();
         assert_eq!(idx.len(), n, "gather_rows needs one index per row");
-        let x = self.to_tensor();
+        let x = self.value();
         let data: Vec<f32> = idx
             .iter()
             .enumerate()
@@ -92,7 +92,7 @@ impl Var {
                 for (i, &j) in saved_idx.iter().enumerate() {
                     dx.data_mut()[i * k + j] += g.data()[i];
                 }
-                parents[0].accum(&dx);
+                parents[0].accum(dx);
             }),
         )
     }
@@ -107,7 +107,7 @@ impl Var {
     pub fn mean_channels(&self) -> Var {
         let (n, c, h, w) = self.value().shape().nchw();
         let count = (n * h * w) as f32;
-        let x = self.to_tensor();
+        let x = self.value();
         let mut means = vec![0.0f32; c];
         let hw = h * w;
         for ni in 0..n {
@@ -132,9 +132,7 @@ impl Var {
                         dx.extend(std::iter::repeat_n(gv, hw));
                     }
                 }
-                parents[0].accum(
-                    &Tensor::from_vec(dx, &[n, c, h, w]).expect("shape consistent"),
-                );
+                parents[0].accum(Tensor::from_vec(dx, &[n, c, h, w]).expect("shape consistent"));
             }),
         )
     }
@@ -156,9 +154,8 @@ impl Var {
             );
         }
         let hw = h * w;
-        let mut value = self.to_tensor();
-        {
-            let s = scale.value();
+        let value = with_values(self, scale, |x, s| {
+            let mut value = x.clone();
             for ni in 0..n {
                 for ci in 0..c {
                     let sv = s.data()[ci];
@@ -166,42 +163,48 @@ impl Var {
                     vecmath::vec_scale_inplace(&mut value.data_mut()[off..off + hw], sv);
                 }
             }
-        }
+            value
+        });
         Var::from_op(
             value,
             vec![self.clone(), scale.clone()],
             Box::new(move |g, parents| {
-                let x = parents[0].to_tensor();
-                let s = parents[1].to_tensor();
-                if parents[0].requires_grad() {
-                    let mut dx = vec![0.0f32; n * c * hw];
-                    for ni in 0..n {
-                        for ci in 0..c {
-                            let sv = s.data()[ci];
-                            let off = (ni * c + ci) * hw;
-                            vecmath::vec_scale(
-                                &g.data()[off..off + hw],
-                                sv,
-                                &mut dx[off..off + hw],
-                            );
+                let (dx, ds) = with_values(&parents[0], &parents[1], |x, s| {
+                    let dx = parents[0].requires_grad().then(|| {
+                        let mut dx = vec![0.0f32; n * c * hw];
+                        for ni in 0..n {
+                            for ci in 0..c {
+                                let sv = s.data()[ci];
+                                let off = (ni * c + ci) * hw;
+                                vecmath::vec_scale(
+                                    &g.data()[off..off + hw],
+                                    sv,
+                                    &mut dx[off..off + hw],
+                                );
+                            }
                         }
-                    }
-                    parents[0].accum(
-                        &Tensor::from_vec(dx, &[n, c, h, w]).expect("shape consistent"),
-                    );
+                        Tensor::from_vec(dx, &[n, c, h, w]).expect("shape consistent")
+                    });
+                    let ds = parents[1].requires_grad().then(|| {
+                        let mut ds = Tensor::zeros(&[c]);
+                        for ni in 0..n {
+                            for ci in 0..c {
+                                let off = (ni * c + ci) * hw;
+                                ds.data_mut()[ci] += vecmath::vec_dot(
+                                    &x.data()[off..off + hw],
+                                    &g.data()[off..off + hw],
+                                );
+                            }
+                        }
+                        ds
+                    });
+                    (dx, ds)
+                });
+                if let Some(dx) = dx {
+                    parents[0].accum(dx);
                 }
-                if parents[1].requires_grad() {
-                    let mut ds = Tensor::zeros(&[c]);
-                    for ni in 0..n {
-                        for ci in 0..c {
-                            let off = (ni * c + ci) * hw;
-                            ds.data_mut()[ci] += vecmath::vec_dot(
-                                &x.data()[off..off + hw],
-                                &g.data()[off..off + hw],
-                            );
-                        }
-                    }
-                    parents[1].accum(&ds);
+                if let Some(ds) = ds {
+                    parents[1].accum(ds);
                 }
             }),
         )
@@ -223,9 +226,8 @@ impl Var {
             );
         }
         let hw = h * w;
-        let mut value = self.to_tensor();
-        {
-            let s = shift.value();
+        let value = with_values(self, shift, |x, s| {
+            let mut value = x.clone();
             for ni in 0..n {
                 for ci in 0..c {
                     let sv = s.data()[ci];
@@ -233,13 +235,13 @@ impl Var {
                     vecmath::vec_add_scalar_inplace(&mut value.data_mut()[off..off + hw], sv);
                 }
             }
-        }
+            value
+        });
         Var::from_op(
             value,
             vec![self.clone(), shift.clone()],
             Box::new(move |g, parents| {
-                parents[0].accum(g);
-                if parents[1].requires_grad() {
+                let ds = parents[1].requires_grad().then(|| {
                     let mut ds = Tensor::zeros(&[c]);
                     for ni in 0..n {
                         for ci in 0..c {
@@ -247,11 +249,205 @@ impl Var {
                             ds.data_mut()[ci] += vecmath::vec_sum(&g.data()[off..off + hw]);
                         }
                     }
-                    parents[1].accum(&ds);
+                    ds
+                });
+                parents[0].accum(g);
+                if let Some(ds) = ds {
+                    parents[1].accum(ds);
                 }
             }),
         )
     }
+    /// Per-channel biased variance of an NCHW tensor around a `[C]` mean:
+    /// `mean_channels((self − mean)²)`, in one pass with no full-size
+    /// intermediates. Each element runs the f32 steps of that composition
+    /// (`x + (−mean)`, its square, the 8-lane channel sums, `/ count`),
+    /// forward and backward, so the result and gradients are bit-identical
+    /// to it. Batch normalization's statistics are `mean_channels` and this.
+    ///
+    /// # Panics
+    /// Panics if `self` is not 4-d or `mean` is not `[C]`.
+    pub fn channel_var(&self, mean: &Var) -> Var {
+        let (n, c, h, w) = self.value().shape().nchw();
+        check_channels("mean", mean, c);
+        let hw = h * w;
+        let count = (n * h * w) as f32;
+        let mut vars = vec![0.0f32; c];
+        {
+            let (x, m) = (self.value(), channel_values(mean));
+            let (mut cen, mut sq) = (vec![0.0f32; hw], vec![0.0f32; hw]);
+            for ni in 0..n {
+                for ci in 0..c {
+                    let off = (ni * c + ci) * hw;
+                    vecmath::vec_add_scalar(&x.data()[off..off + hw], -m[ci], &mut cen);
+                    vecmath::vec_mul(&cen, &cen, &mut sq);
+                    vars[ci] += vecmath::vec_sum(&sq);
+                }
+            }
+        }
+        for v in &mut vars {
+            *v /= count;
+        }
+        let value = Tensor::from_vec(vars, &[c]).expect("shape consistent");
+        Var::from_op(
+            value,
+            vec![self.clone(), mean.clone()],
+            Box::new(move |g, parents| {
+                // d(centered) = g/count · 2·centered; the mean receives
+                // −Σ d(centered) per channel.
+                let inv = 1.0 / count;
+                let m = channel_values(&parents[1]);
+                let mut dx = vec![0.0f32; n * c * hw];
+                let mut dm = vec![0.0f32; c];
+                {
+                    let x = parents[0].value();
+                    let (mut cen, mut two) = (vec![0.0f32; hw], vec![0.0f32; hw]);
+                    for ni in 0..n {
+                        for ci in 0..c {
+                            let off = (ni * c + ci) * hw;
+                            vecmath::vec_add_scalar(&x.data()[off..off + hw], -m[ci], &mut cen);
+                            vecmath::vec_scale(&cen, 2.0, &mut two);
+                            let dxp = &mut dx[off..off + hw];
+                            vecmath::vec_scale(&two, g.data()[ci] * inv, dxp);
+                            dm[ci] += vecmath::vec_sum(dxp);
+                        }
+                    }
+                }
+                parents[0].accum(Tensor::from_vec(dx, &[n, c, h, w]).expect("shape consistent"));
+                if parents[1].requires_grad() {
+                    let dm = Tensor::from_vec(dm, &[c]).expect("shape consistent");
+                    parents[1].accum(dm.scale(-1.0));
+                }
+            }),
+        )
+    }
+
+    /// Batch-normalizes an NCHW tensor with per-channel `[C]` statistics and
+    /// affine parameters: `((self + (−mean)) · inv_std) · gamma + beta`,
+    /// one pass forward and one backward with no full-size intermediates.
+    /// Every element runs the f32 steps of the composition
+    /// `add_channels(−mean)`, `mul_channels(inv_std)`, `mul_channels(gamma)`,
+    /// `add_channels(beta)` in that order, and every gradient (including the
+    /// channel sums and dot products) is the same f32 sequence that
+    /// composition's backward runs, so both are bit-identical to it. Only
+    /// the gradients of inputs that require one are computed.
+    ///
+    /// # Panics
+    /// Panics if `self` is not 4-d or any other operand is not `[C]`.
+    pub fn channel_norm(&self, mean: &Var, inv_std: &Var, gamma: &Var, beta: &Var) -> Var {
+        let (n, c, h, w) = self.value().shape().nchw();
+        for (name, v) in [
+            ("mean", mean),
+            ("inv_std", inv_std),
+            ("gamma", gamma),
+            ("beta", beta),
+        ] {
+            check_channels(name, v, c);
+        }
+        let hw = h * w;
+        let (m, s) = (channel_values(mean), channel_values(inv_std));
+        let (ga, be) = (channel_values(gamma), channel_values(beta));
+        let mut out = vec![0.0f32; n * c * hw];
+        {
+            let x = self.value();
+            for ni in 0..n {
+                for ci in 0..c {
+                    let off = (ni * c + ci) * hw;
+                    let y = &mut out[off..off + hw];
+                    vecmath::vec_add_scalar(&x.data()[off..off + hw], -m[ci], y);
+                    vecmath::vec_scale_inplace(y, s[ci]);
+                    vecmath::vec_scale_inplace(y, ga[ci]);
+                    vecmath::vec_add_scalar_inplace(y, be[ci]);
+                }
+            }
+        }
+        let value = Tensor::from_vec(out, &[n, c, h, w]).expect("shape consistent");
+        Var::from_op(
+            value,
+            vec![
+                self.clone(),
+                mean.clone(),
+                inv_std.clone(),
+                gamma.clone(),
+                beta.clone(),
+            ],
+            Box::new(move |g, parents| {
+                let req: Vec<bool> = parents.iter().map(Var::requires_grad).collect();
+                let (want_dx, want_ds) = (req[0] || req[1], req[0] || req[1] || req[2]);
+                let (m, s) = (channel_values(&parents[1]), channel_values(&parents[2]));
+                let ga = channel_values(&parents[3]);
+                // `a` = x − mean and `b` = a · inv_std are the composition's
+                // intermediates, rebuilt per plane; `gb` is b's gradient.
+                let (mut a, mut b, mut gb) = (vec![0.0f32; hw], vec![0.0f32; hw], vec![0.0f32; hw]);
+                let mut dx = vec![0.0f32; if want_dx { n * c * hw } else { 0 }];
+                let (mut dm, mut ds) = (vec![0.0f32; c], vec![0.0f32; c]);
+                let (mut dgamma, mut dbeta) = (vec![0.0f32; c], vec![0.0f32; c]);
+                {
+                    let x = parents[0].value();
+                    for ni in 0..n {
+                        for ci in 0..c {
+                            let off = (ni * c + ci) * hw;
+                            let gp = &g.data()[off..off + hw];
+                            if req[4] {
+                                dbeta[ci] += vecmath::vec_sum(gp);
+                            }
+                            vecmath::vec_add_scalar(&x.data()[off..off + hw], -m[ci], &mut a);
+                            if req[3] {
+                                vecmath::vec_scale(&a, s[ci], &mut b);
+                                dgamma[ci] += vecmath::vec_dot(&b, gp);
+                            }
+                            if !want_ds {
+                                continue;
+                            }
+                            vecmath::vec_scale(gp, ga[ci], &mut gb);
+                            if req[2] {
+                                ds[ci] += vecmath::vec_dot(&a, &gb);
+                            }
+                            if want_dx {
+                                let ga_p = &mut dx[off..off + hw];
+                                vecmath::vec_scale(&gb, s[ci], ga_p);
+                                dm[ci] += vecmath::vec_sum(ga_p);
+                            }
+                        }
+                    }
+                }
+                let vec_c = |v: Vec<f32>| Tensor::from_vec(v, &[c]).expect("shape consistent");
+                if req[0] {
+                    parents[0]
+                        .accum(Tensor::from_vec(dx, &[n, c, h, w]).expect("shape consistent"));
+                }
+                if req[1] {
+                    parents[1].accum(vec_c(dm).scale(-1.0));
+                }
+                if req[2] {
+                    parents[2].accum(vec_c(ds));
+                }
+                if req[3] {
+                    parents[3].accum(vec_c(dgamma));
+                }
+                if req[4] {
+                    parents[4].accum(vec_c(dbeta));
+                }
+            }),
+        )
+    }
+}
+
+/// Asserts that `v` is a `[c]` vector.
+fn check_channels(name: &str, v: &Var, c: usize) {
+    let t = v.value();
+    assert_eq!(
+        t.shape().dims(),
+        &[c],
+        "{name} must be [{c}], got {}",
+        t.shape()
+    );
+}
+
+/// Copies out a `[C]` vector: cheap, and takes no guard that outlives the
+/// copy, so operands may repeat.
+fn channel_values(v: &Var) -> Vec<f32> {
+    v.value().data().to_vec()
 }
 
 #[cfg(test)]

@@ -2,6 +2,7 @@
 
 use super::Var;
 use crate::tensor::Tensor;
+use std::sync::Arc;
 
 impl Var {
     /// Reshapes the variable (total element count must be preserved).
@@ -19,9 +20,9 @@ impl Var {
             vec![self.clone()],
             Box::new(move |g, parents| {
                 let gr = g
-                    .reshape(&old_dims)
+                    .into_shape(&old_dims)
                     .expect("gradient reshape cannot fail: same element count");
-                parents[0].accum(&gr);
+                parents[0].accum(gr);
             }),
         )
     }
@@ -43,17 +44,30 @@ impl Var {
     /// Panics if `parts` is empty or trailing dimensions differ.
     pub fn concat0(parts: &[Var]) -> Var {
         assert!(!parts.is_empty(), "concat0 requires at least one variable");
-        let tensors: Vec<Tensor> = parts.iter().map(|p| p.to_tensor()).collect();
-        let refs: Vec<&Tensor> = tensors.iter().collect();
+        // One read guard per distinct node: a part may repeat (`[a, a]`),
+        // and std's `RwLock` does not promise that one thread may hold two
+        // read guards on one lock.
+        let mut guards = Vec::with_capacity(parts.len());
+        let mut slots = Vec::with_capacity(parts.len());
+        for (i, p) in parts.iter().enumerate() {
+            match parts[..i].iter().position(|q| Arc::ptr_eq(&p.0, &q.0)) {
+                Some(j) => slots.push(slots[j]),
+                None => {
+                    slots.push(guards.len());
+                    guards.push(p.value());
+                }
+            }
+        }
+        let refs: Vec<&Tensor> = slots.iter().map(|&k| &*guards[k]).collect();
         let value = Tensor::concat0(&refs);
-        let sizes: Vec<usize> = tensors.iter().map(|t| t.shape().dim(0)).collect();
+        let sizes: Vec<usize> = refs.iter().map(|t| t.shape().dim(0)).collect();
         Var::from_op(
             value,
             parts.to_vec(),
             Box::new(move |g, parents| {
                 let mut start = 0usize;
                 for (p, &len) in parents.iter().zip(sizes.iter()) {
-                    p.accum(&g.slice0(start, len));
+                    p.accum(g.slice0(start, len));
                     start += len;
                 }
             }),
@@ -70,7 +84,7 @@ impl Var {
     pub fn nchw_to_rows(&self) -> Var {
         let (n, c, h, w) = self.value().shape().nchw();
         let hw = h * w;
-        let x = self.to_tensor();
+        let x = self.value();
         let mut out = Tensor::zeros(&[n * hw, c]);
         {
             let (xd, od) = (x.data(), out.data_mut());
@@ -96,9 +110,7 @@ impl Var {
                         dx.extend((0..hw).map(|p| gd[(ni * hw + p) * c + ci]));
                     }
                 }
-                parents[0].accum(
-                    &Tensor::from_vec(dx, &[n, c, h, w]).expect("shape consistent"),
-                );
+                parents[0].accum(Tensor::from_vec(dx, &[n, c, h, w]).expect("shape consistent"));
             }),
         )
     }
@@ -112,7 +124,7 @@ impl Var {
         let (rows, c) = self.value().shape().matrix();
         assert_eq!(rows, n * h * w, "row count {rows} != {n}·{h}·{w}");
         let hw = h * w;
-        let x = self.to_tensor();
+        let x = self.value();
         let mut out = Tensor::zeros(&[n, c, h, w]);
         {
             let (xd, od) = (x.data(), out.data_mut());
@@ -139,7 +151,7 @@ impl Var {
                         }
                     }
                 }
-                parents[0].accum(&dx);
+                parents[0].accum(dx);
             }),
         )
     }
@@ -153,7 +165,7 @@ impl Var {
         let (n, c, h, w) = self.value().shape().nchw();
         assert!(i0 < i1 && i1 <= h && j0 < j1 && j1 <= w, "window out of bounds");
         let (oh, ow) = (i1 - i0, j1 - j0);
-        let x = self.to_tensor();
+        let x = self.value();
         let mut out = Tensor::zeros(&[n, c, oh, ow]);
         {
             let (xd, od) = (x.data(), out.data_mut());
@@ -180,7 +192,7 @@ impl Var {
                         }
                     }
                 }
-                parents[0].accum(&dx);
+                parents[0].accum(dx);
             }),
         )
     }
@@ -199,7 +211,7 @@ impl Var {
                 let mut dx = Tensor::zeros(&dims);
                 let stride: usize = dims[1..].iter().product();
                 dx.data_mut()[start * stride..(start + len) * stride].copy_from_slice(g.data());
-                parents[0].accum(&dx);
+                parents[0].accum(dx);
             }),
         )
     }

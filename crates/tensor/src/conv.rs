@@ -359,7 +359,29 @@ pub fn conv2d_fused(
     out
 }
 
-/// Backward pass of [`conv2d`], returning `(dx, dw, db)`.
+/// Which gradients [`conv2d_backward`] computes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ConvGrads {
+    /// The input gradient `dx`.
+    pub input: bool,
+    /// The weight and bias gradients `dW`, `db`.
+    pub weight: bool,
+}
+
+impl ConvGrads {
+    /// Every gradient: `dx`, `dW` and `db`.
+    pub const ALL: ConvGrads = ConvGrads {
+        input: true,
+        weight: true,
+    };
+}
+
+/// Backward pass of [`conv2d`], computing only the gradients `want` asks
+/// for: `(dx, (dW, db))`. Without `dx` it skips the TN product and
+/// `col2im`; without `dW` it skips the patch tables, the NT product and the
+/// bias sums. A gradient that is computed is bit-identical whatever else is
+/// skipped: its FMA chains and the `dW`/`db` chunk reduction do not depend
+/// on `want`.
 ///
 /// # Panics
 /// Panics if `weight` does not match `x` and `spec` (as in [`conv2d`]) or
@@ -369,7 +391,8 @@ pub fn conv2d_backward(
     weight: &Tensor,
     grad_out: &Tensor,
     spec: Conv2dSpec,
-) -> (Tensor, Tensor, Tensor) {
+    want: ConvGrads,
+) -> (Option<Tensor>, Option<(Tensor, Tensor)>) {
     let (n, c, h, w) = x.shape().nchw();
     let o = weight_out_channels("conv2d_backward", c, weight, spec);
     let oh = spec.out_size(h);
@@ -384,12 +407,18 @@ pub fn conv2d_backward(
     let wd = weight.shape().dims();
 
     let chw = c * h * w;
-    let mut dx = Tensor::zeros(&[n, c, h, w]);
-    let mut dw_flat = vec![0.0f32; o * krows];
-    let mut db = Tensor::zeros(&[o]);
-    if n == 0 {
-        let dw = Tensor::from_vec(dw_flat, wd).expect("dw shape is consistent by construction");
-        return (dx, dw, db);
+    let mut dx = want.input.then(|| Tensor::zeros(&[n, c, h, w]));
+    let mut dw_flat = vec![0.0f32; if want.weight { o * krows } else { 0 }];
+    let mut db = want.weight.then(|| Tensor::zeros(&[o]));
+    let finish = |dx, dw_flat, db: Option<Tensor>| {
+        let dwb = db.map(|db| {
+            let dw = Tensor::from_vec(dw_flat, wd).expect("dw shape is consistent by construction");
+            (dw, db)
+        });
+        (dx, dwb)
+    };
+    if n == 0 || !(want.input || want.weight) {
+        return finish(dx, dw_flat, db);
     }
 
     // Each chunk of the batch accumulates into a private [dw | db] partial,
@@ -405,61 +434,76 @@ pub fn conv2d_backward(
     };
     let per_chunk = n.div_ceil(chunks);
     let tasks = n.div_ceil(per_chunk);
-    let part_stride = o * krows + o;
+    let part_stride = if want.weight { o * krows + o } else { 0 };
     let mut partials = workspace::take(Slot::Partial, tasks * part_stride);
     let part_ptr = SendPtr(partials.as_mut_ptr());
-    let dx_ptr = SendPtr(dx.data_mut().as_mut_ptr());
+    let dx_ptr = SendPtr(
+        dx.as_mut()
+            .map_or(std::ptr::null_mut(), |t| t.data_mut().as_mut_ptr()),
+    );
     let (god, wd_flat) = (grad_out.data(), weight.data());
-    let patches = Patches::new(x, spec);
+    let patches = want.weight.then(|| Patches::new(x, spec));
 
     pool::parallel_for(tasks, |t| {
         // Capture the wrappers, not their raw-pointer fields (which are
         // !Sync).
         let (part_ptr, dx_ptr) = (&part_ptr, &dx_ptr);
         // Unzeroed: the TN product overwrites every element.
-        let mut dcol = workspace::take_unzeroed(Slot::DCol, krows * ncols);
-        // SAFETY: partial `t` and the chunk's dx samples are touched by
-        // this task only.
+        let mut dcol = want
+            .input
+            .then(|| workspace::take_unzeroed(Slot::DCol, krows * ncols));
+        // SAFETY: partial `t` is touched by this task only, and is empty
+        // (length 0) when no weight gradient is wanted.
         let part = unsafe {
             std::slice::from_raw_parts_mut(part_ptr.0.add(t * part_stride), part_stride)
         };
-        let (dw_part, db_part) = part.split_at_mut(o * krows);
+        let (dw_part, db_part) = part.split_at_mut(if want.weight { o * krows } else { 0 });
         for ni in t * per_chunk..n.min((t + 1) * per_chunk) {
             let go = &god[ni * o * ncols..(ni + 1) * o * ncols];
-            for oi in 0..o {
-                db_part[oi] += vecmath::vec_sum(&go[oi * ncols..(oi + 1) * ncols]);
+            if let Some(patches) = &patches {
+                for oi in 0..o {
+                    db_part[oi] += vecmath::vec_sum(&go[oi * ncols..(oi + 1) * ncols]);
+                }
+                // dw += go[o, ncols] · col[krows, ncols]ᵀ (NT product): the
+                // image's output columns are the depth, so the patch tables
+                // swap roles.
+                let colt = BSource::Patches {
+                    src: &patches.src,
+                    row_off: patches.n_off(ni * ncols..(ni + 1) * ncols),
+                    col_off: patches.k_off(),
+                };
+                gemm_with(o, krows, ncols, go, (ncols, 1), colt, dw_part, true);
             }
-            // dw += go[o, ncols] · col[krows, ncols]ᵀ (NT product): the
-            // image's output columns are the depth, so the patch tables
-            // swap roles.
-            let colt = BSource::Patches {
-                src: &patches.src,
-                row_off: patches.n_off(ni * ncols..(ni + 1) * ncols),
-                col_off: patches.k_off(),
-            };
-            gemm_with(o, krows, ncols, go, (ncols, 1), colt, dw_part, true);
-            // dcol = w[o, krows]ᵀ · go[o, ncols]  (TN product).
-            gemm(krows, ncols, o, wd_flat, (1, krows), go, (ncols, 1), &mut dcol, false);
-            let dst =
-                unsafe { std::slice::from_raw_parts_mut(dx_ptr.0.add(ni * chw), chw) };
-            col2im_single(&dcol, c, h, w, spec, dst);
+            if let Some(dcol) = dcol.as_mut() {
+                // dcol = w[o, krows]ᵀ · go[o, ncols]  (TN product).
+                gemm(krows, ncols, o, wd_flat, (1, krows), go, (ncols, 1), dcol, false);
+                // SAFETY: `dx` exists whenever `dcol` does, and sample `ni`
+                // belongs to this task's chunk alone.
+                let dst = unsafe { std::slice::from_raw_parts_mut(dx_ptr.0.add(ni * chw), chw) };
+                col2im_single(dcol, c, h, w, spec, dst);
+            }
         }
-        workspace::give(Slot::DCol, dcol);
+        if let Some(dcol) = dcol {
+            workspace::give(Slot::DCol, dcol);
+        }
     });
-    patches.release();
+    if let Some(patches) = patches {
+        patches.release();
+    }
 
-    for t in 0..tasks {
-        let part = &partials[t * part_stride..(t + 1) * part_stride];
-        for (d, &p) in dw_flat.iter_mut().zip(&part[..o * krows]) {
-            *d += p;
-        }
-        for (d, &p) in db.data_mut().iter_mut().zip(&part[o * krows..]) {
-            *d += p;
+    if let Some(db) = db.as_mut() {
+        for t in 0..tasks {
+            let part = &partials[t * part_stride..(t + 1) * part_stride];
+            for (d, &p) in dw_flat.iter_mut().zip(&part[..o * krows]) {
+                *d += p;
+            }
+            for (d, &p) in db.data_mut().iter_mut().zip(&part[o * krows..]) {
+                *d += p;
+            }
         }
     }
     workspace::give(Slot::Partial, partials);
-    let dw = Tensor::from_vec(dw_flat, wd).expect("dw shape is consistent by construction");
-    (dx, dw, db)
+    finish(dx, dw_flat, db)
 }
 
 /// Forward 2-d average pooling with a square window and equal stride.
@@ -746,7 +790,8 @@ mod tests {
             &[n, o, h, w],
         )
         .unwrap();
-        let (dx, dw, db) = conv2d_backward(&x, &wt, &go, spec);
+        let (dx, dwb) = conv2d_backward(&x, &wt, &go, spec, ConvGrads::ALL);
+        let (dx, (dw, db)) = (dx.unwrap(), dwb.unwrap());
 
         // Naive dw[oi, ci, ki, kj] = sum over n, output positions of
         // go * shifted x; dx by the transposed stencil.
@@ -856,7 +901,13 @@ mod tests {
         let w = Tensor::ones(&[4, 3, 3, 3]);
         // Output is [2, 4, 6, 6]; a gradient for 5 channels must not be
         // gathered against it.
-        conv2d_backward(&x, &w, &Tensor::ones(&[2, 5, 6, 6]), Conv2dSpec::new(3, 1, 1));
+        conv2d_backward(
+            &x,
+            &w,
+            &Tensor::ones(&[2, 5, 6, 6]),
+            Conv2dSpec::new(3, 1, 1),
+            ConvGrads::ALL,
+        );
     }
 
     #[test]
@@ -864,6 +915,12 @@ mod tests {
     fn conv2d_backward_rejects_mismatched_weight() {
         let x = Tensor::ones(&[1, 3, 6, 6]);
         let w = Tensor::ones(&[4, 2, 3, 3]);
-        conv2d_backward(&x, &w, &Tensor::ones(&[1, 4, 6, 6]), Conv2dSpec::new(3, 1, 1));
+        conv2d_backward(
+            &x,
+            &w,
+            &Tensor::ones(&[1, 4, 6, 6]),
+            Conv2dSpec::new(3, 1, 1),
+            ConvGrads::ALL,
+        );
     }
 }

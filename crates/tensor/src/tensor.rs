@@ -119,6 +119,11 @@ impl Tensor {
         Tensor::from_vec(self.data.clone(), dims)
     }
 
+    /// [`Tensor::reshape`] that reuses this tensor's buffer.
+    pub(crate) fn into_shape(self, dims: &[usize]) -> Result<Self, TensorError> {
+        Tensor::from_vec(self.data, dims)
+    }
+
     /// Applies `f` elementwise, producing a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Self {
         Tensor {

@@ -11,7 +11,7 @@
 //! counts (one chunk, and one per budgeted thread).
 
 use cae_tensor::autotune::PARALLEL_FLOP_THRESHOLD;
-use cae_tensor::conv::{self, Conv2dSpec, ConvEpilogue};
+use cae_tensor::conv::{self, Conv2dSpec, ConvEpilogue, ConvGrads};
 use cae_tensor::gemm::gemm;
 use cae_tensor::pool;
 use cae_tensor::rng::TensorRng;
@@ -251,7 +251,9 @@ impl Case {
             yb.data(),
             &forward_ref(&self.x, &self.weight, Some(&self.bias), self.spec),
         );
-        let (dx, dw, db) = conv::conv2d_backward(&self.x, &self.weight, &self.go, self.spec);
+        let (dx, dwb) =
+            conv::conv2d_backward(&self.x, &self.weight, &self.go, self.spec, ConvGrads::ALL);
+        let (dx, (dw, db)) = (dx.unwrap(), dwb.unwrap());
         let (dx_ref, dw_ref, db_ref) = backward_ref(&self.x, &self.weight, &self.go, self.spec);
         assert_bits(&format!("{label} dx"), dx.data(), &dx_ref);
         assert_bits(&format!("{label} dw"), dw.data(), &dw_ref);

@@ -99,7 +99,8 @@ proptest! {
         let y = conv::conv2d(&x, &w, Some(&bias), spec);
         assert_backend_parity("conv2d fwd+bwd", || {
             let fwd = conv::conv2d(&x, &w, Some(&bias), spec);
-            let (dx, dw, db) = conv::conv2d_backward(&x, &w, &y, spec);
+            let (dx, dwb) = conv::conv2d_backward(&x, &w, &y, spec, conv::ConvGrads::ALL);
+            let (dx, (dw, db)) = (dx.unwrap(), dwb.unwrap());
             let mut out = fwd.data().to_vec();
             out.extend_from_slice(dx.data());
             out.extend_from_slice(dw.data());

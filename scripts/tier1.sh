@@ -24,6 +24,10 @@ cargo test --release --offline -p cae-tensor --test simd_parity -q
 # bit-for-bit (forward, dW, db, dx), under both backends.
 CAE_SIMD=scalar cargo test --release --offline -p cae-tensor --test implicit_conv -q
 cargo test --release --offline -p cae-tensor --test implicit_conv -q
+# Demand-gated backward: freezing any subset of an op's leaves must leave
+# every gradient still computed bit-identical, under both backends.
+CAE_SIMD=scalar cargo test --release --offline -p cae-tensor --test grad_demand -q
+cargo test --release --offline -p cae-tensor --test grad_demand -q
 # ... and a traced table run must reproduce the untraced report
 # byte-for-byte.
 trace_tmp="$(mktemp -d)"
