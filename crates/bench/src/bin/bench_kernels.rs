@@ -10,6 +10,13 @@
 //! minus the NaN-swallowing `== 0.0` skip branches, which almost never fire
 //! on random data.
 //!
+//! Before overwriting `BENCH_kernels.json` the new rows are gated against
+//! the file's current contents (see [`gate`]): a kernel that lost more than
+//! half its speedup, or a row that disappeared, exits 1 and leaves the file
+//! untouched (with no file yet, the run records afresh). Timing medians move with host load, so absolute nanoseconds
+//! are never compared — only the speedup over the naive kernel timed in the
+//! same process.
+//!
 //! Run with `cargo run --release -p cae-bench --bin bench_kernels`. Set
 //! `CAE_SIMD=scalar` to measure the scalar fallback.
 
@@ -23,11 +30,16 @@ use cae_tensor::simd::vecmath;
 use cae_tensor::{Tensor, Var};
 use criterion::{black_box, measure};
 use serde::Value;
+use std::process::ExitCode;
 use std::time::Duration;
 
 /// Measurement window per benchmark; long enough for stable means on the
 /// sub-millisecond kernels measured here.
 const WINDOW: Duration = Duration::from_millis(300);
+
+/// Fraction of its prior speedup a kernel row must retain: a 2× band
+/// absorbs host noise, losing more means a real kernel regression.
+const SPEEDUP_RETENTION: f64 = 0.5;
 
 struct Record {
     op: &'static str,
@@ -255,7 +267,67 @@ fn gemm_record(
     )
 }
 
-fn main() {
+fn str_field<'v>(row: &'v Value, key: &str) -> Option<&'v str> {
+    match row.get(key) {
+        Some(Value::String(s)) => Some(s),
+        _ => None,
+    }
+}
+
+fn speedup_of(row: &Value) -> Result<f64, String> {
+    match row.get("speedup") {
+        Some(Value::Number(n)) => Ok(*n),
+        _ => Err(format!("row without a numeric speedup: {row:?}")),
+    }
+}
+
+/// Gates the `current` rows against the `prior` record they are about to
+/// replace, returning one line per regression (empty: the write may go
+/// ahead). Every prior `(op, shape)` row must still exist and keep at
+/// least [`SPEEDUP_RETENTION`] of its speedup. A row whose SIMD `backend`
+/// changed (an `avx2` record re-measured scalar-forced or on another host)
+/// is skipped: the ratio would measure the instruction set, not the kernel.
+///
+/// # Errors
+/// Returns a message when either side is not an array of
+/// `op`/`shape`/`speedup` rows.
+fn gate(current: &[Value], prior: &Value) -> Result<Vec<String>, String> {
+    let Value::Array(prior) = prior else {
+        return Err("expected a JSON array of kernel rows".to_string());
+    };
+    let mut regressions = Vec::new();
+    for row in prior {
+        let (Some(op), Some(shape)) = (str_field(row, "op"), str_field(row, "shape")) else {
+            return Err(format!("row without op/shape: {row:?}"));
+        };
+        let prior_speedup = speedup_of(row)?;
+        let key = format!("{op} {shape}");
+        let found = current
+            .iter()
+            .find(|r| str_field(r, "op") == Some(op) && str_field(r, "shape") == Some(shape));
+        let Some(found) = found else {
+            regressions.push(format!("{key}: row missing from the new measurement"));
+            continue;
+        };
+        let (prior_backend, backend) = (str_field(row, "backend"), str_field(found, "backend"));
+        if let (Some(pb), Some(b)) = (prior_backend, backend) {
+            if pb != b {
+                println!("  skipped {key}: prior backend '{pb}', now '{b}'");
+                continue;
+            }
+        }
+        let speedup = speedup_of(found)?;
+        let floor = prior_speedup * SPEEDUP_RETENTION;
+        if speedup < floor {
+            regressions.push(format!(
+                "{key}: {speedup:.2}x vs prior {prior_speedup:.2}x (floor {floor:.2}x)"
+            ));
+        }
+    }
+    Ok(regressions)
+}
+
+fn main() -> ExitCode {
     let mut rng = TensorRng::seed_from(42);
 
     // -- GEMM, all three layouts, at DFKD-realistic shapes. ---------------
@@ -401,12 +473,89 @@ fn main() {
         }),
     ));
 
-    // -- Report. -----------------------------------------------------------
-    let json = serde_json::to_string_pretty(&Value::Array(
-        records.iter().map(Record::to_value).collect(),
-    ))
-    .expect("benchmark records always serialize");
+    // -- Gate against the committed record, then report. -------------------
+    let rows: Vec<Value> = records.iter().map(Record::to_value).collect();
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");
+    if let Ok(text) = std::fs::read_to_string(path) {
+        let verdict = serde_json::from_str(&text)
+            .map_err(|e| e.to_string())
+            .and_then(|prior| gate(&rows, &prior));
+        match verdict {
+            Ok(regressions) if regressions.is_empty() => {}
+            Ok(regressions) => {
+                for line in &regressions {
+                    eprintln!("REGRESSED {line}");
+                }
+                eprintln!("{} kernel row(s) regressed; {path} left untouched", regressions.len());
+                return ExitCode::FAILURE;
+            }
+            Err(e) => {
+                eprintln!("cannot gate against {path}: {e} (delete it to record afresh)");
+                return ExitCode::FAILURE;
+            }
+        }
+    }
+    let json = serde_json::to_string_pretty(&Value::Array(rows))
+        .expect("benchmark records always serialize");
     std::fs::write(path, json + "\n").expect("failed to write BENCH_kernels.json");
     println!("\nwrote {path}");
+    ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn rows(json: &str) -> Vec<Value> {
+        match serde_json::from_str(json).expect("test JSON parses") {
+            Value::Array(rows) => rows,
+            other => panic!("not an array: {other:?}"),
+        }
+    }
+
+    fn check(current: &str, prior: &str) -> Vec<String> {
+        let prior = serde_json::from_str(prior).expect("test JSON parses");
+        gate(&rows(current), &prior).expect("well-formed prior")
+    }
+
+    const KERNELS: &str = r#"[
+        {"op": "matmul", "shape": "64x128x96", "speedup": 4.4},
+        {"op": "conv2d", "shape": "8x8x12x12->16", "speedup": 3.1}
+    ]"#;
+
+    #[test]
+    fn identical_kernels_pass() {
+        assert!(check(KERNELS, KERNELS).is_empty());
+    }
+
+    #[test]
+    fn kernel_speedup_below_half_prior_regresses() {
+        let current = r#"[
+            {"op": "matmul", "shape": "64x128x96", "speedup": 2.0},
+            {"op": "conv2d", "shape": "8x8x12x12->16", "speedup": 3.1}
+        ]"#;
+        let regressions = check(current, KERNELS);
+        assert_eq!(regressions.len(), 1, "2.0x < floor 2.2x must regress: {regressions:?}");
+        assert!(regressions[0].starts_with("matmul 64x128x96"), "{regressions:?}");
+    }
+
+    #[test]
+    fn cross_backend_comparison_is_skipped_not_regressed() {
+        let prior = r#"[{"op": "matmul", "shape": "64x128x96", "backend": "avx2", "speedup": 9.0}]"#;
+        // Same op measured on a scalar-forced host at a fraction of the
+        // speedup: must skip, not fail.
+        let scalar = r#"[{"op": "matmul", "shape": "64x128x96", "backend": "scalar", "speedup": 1.1}]"#;
+        assert!(check(scalar, prior).is_empty());
+        // Same backend on both sides: the band applies again.
+        let same = r#"[{"op": "matmul", "shape": "64x128x96", "backend": "avx2", "speedup": 1.1}]"#;
+        assert_eq!(check(same, prior).len(), 1, "same-backend collapse must regress");
+    }
+
+    #[test]
+    fn missing_kernel_entry_regresses() {
+        let current = r#"[{"op": "matmul", "shape": "64x128x96", "speedup": 4.4}]"#;
+        let regressions = check(current, KERNELS);
+        assert_eq!(regressions.len(), 1);
+        assert!(regressions[0].contains("conv2d") && regressions[0].contains("missing"));
+    }
 }

@@ -1,6 +1,6 @@
 //! Serving benchmark: dynamic batching vs one-request-at-a-time on a
-//! frozen student, plus the int8 accuracy delta. Writes `BENCH_serve.json`
-//! at the repository root.
+//! frozen student, plus the int8 accuracy delta, checked against the serve
+//! contract where they are measured.
 //!
 //! A small student is pretrained on the C10Sim preset (cached by the
 //! teacher layer), frozen in fused mode, and served over a deterministic
@@ -17,14 +17,22 @@
 //!   batching determinism under quantization.
 //!
 //! Every run serves the *same* trace, so the prediction logs must be
-//! byte-identical across configurations (`predictions_identical`) — the
-//! serve determinism invariant, re-proven here on every bench run.
+//! byte-identical across configurations — the serve determinism invariant,
+//! re-proven here on every bench run. The rest of the contract:
+//!
+//! * the best config's throughput is at least [`SPEEDUP_FLOOR`]× the
+//!   sequential baseline's;
+//! * the best config's p99 stays under its own `max_latency_us` cutoff and
+//!   under [`P99_CAP_US`];
+//! * int8 quantization costs at most [`INT8_DELTA_CAP_PTS`] accuracy points.
+//!
+//! A broken contract panics, so the bin exits non-zero.
 //!
 //! Budget defaults to `smoke` (`CAE_BUDGET=smoke|fast|full`); the trace
 //! is 400 requests long.
 //! Run with `cargo run --release -p cae-bench --bin bench_serve`.
 
-use cae_bench::{budget_from_env, budget_name};
+use cae_bench::budget_from_env;
 use cae_core::metrics::classification::frozen_top1_accuracy;
 use cae_core::teacher;
 use cae_data::presets::ClassificationPreset;
@@ -33,7 +41,6 @@ use cae_nn::models::Arch;
 use cae_serve::{
     prediction_log, run_closed_loop, run_open_loop, RequestTrace, RunResult, ServeOptions,
 };
-use serde::Value;
 
 /// Budget preset when `CAE_BUDGET` is unset.
 const DEFAULT_BUDGET: &str = "smoke";
@@ -55,36 +62,33 @@ const CONFIGS: [BatchConfig; 3] = [
 /// Length of the served request trace.
 const REQUESTS: usize = 400;
 
-fn run_record(name: &str, run: &RunResult) -> Value {
-    // Per-phase percentiles come from the lock-free serve.phase.*
-    // histograms, reset per run by the drivers — queue-wait, batch
-    // assembly, forward and completion handoff, in pipeline order.
-    let phases = run
-        .phases
-        .iter()
-        .map(|p| {
-            Value::Object(vec![
-                ("phase".to_string(), Value::String(p.phase.to_string())),
-                ("count".to_string(), Value::Number(p.count as f64)),
-                ("p50_us".to_string(), Value::Number(p.p50_us as f64)),
-                ("p99_us".to_string(), Value::Number(p.p99_us as f64)),
-            ])
-        })
-        .collect();
-    Value::Object(vec![
-        ("name".to_string(), Value::String(name.to_string())),
-        ("rps".to_string(), Value::Number(run.throughput_rps())),
-        ("p50_us".to_string(), Value::Number(run.latency_percentile_us(0.5) as f64)),
-        ("p99_us".to_string(), Value::Number(run.latency_percentile_us(0.99) as f64)),
-        ("mean_batch".to_string(), Value::Number(run.mean_batch())),
-        ("phases".to_string(), Value::Array(phases)),
-    ])
-}
+/// Floor on the dynamic-batching throughput edge over the
+/// one-request-at-a-time baseline.
+///
+/// What batching can buy is host-dependent. The per-request fixed cost
+/// (queue handoff, wakeup, dispatch) is amortized across the batch on any
+/// host, but the per-image variable cost (patch gather + GEMM) is paid either
+/// way — so on a single-core host the measured edge tops out around
+/// 1.1–1.4× for the smoke-budget student. On multi-core hosts the batched
+/// forward crosses the GEMM parallelism threshold and fans out across the
+/// pool while a batch-1 forward cannot, so the edge grows with cores. The
+/// floor is the portable single-core guarantee: broken batching shows up as
+/// ~1.0× or below.
+const SPEEDUP_FLOOR: f64 = 1.05;
+
+/// Cap on the best config's p99 latency: 3× the 12 715 µs last committed
+/// for it. Latency percentiles move with host load far more than
+/// throughput ratios do, so the band is wide; the per-config cutoff is the
+/// tight bound.
+const P99_CAP_US: u64 = 3 * 12_715;
+
+/// Maximum accuracy cost of int8 weight quantization, in points.
+const INT8_DELTA_CAP_PTS: f64 = 1.0;
 
 fn main() {
     // Phase histograms are the source of the per-request latency
-    // decomposition in every record below; recording costs two relaxed
-    // atomic adds per phase sample.
+    // decomposition printed for every run below; recording costs two
+    // relaxed atomic adds per phase sample.
     cae_trace::metrics::force_enabled(true);
     let budget = budget_from_env(DEFAULT_BUDGET);
     let requests = REQUESTS;
@@ -137,8 +141,6 @@ fn main() {
         println!("    phases: {phases}");
     }
 
-    let mut predictions_identical = true;
-    let mut config_records = Vec::new();
     let mut best: Option<(&BatchConfig, RunResult)> = None;
     for config in &CONFIGS {
         let opts = ServeOptions::default()
@@ -146,9 +148,11 @@ fn main() {
             .with_max_latency_us(config.max_latency_us);
         let run = run_open_loop(freeze(&FreezeOptions::fused()), opts, &trace, config.clients);
         assert_eq!(run.predictions.len(), trace.len());
-        if prediction_log(&run.predictions) != reference_log {
-            predictions_identical = false;
-        }
+        assert!(
+            prediction_log(&run.predictions) == reference_log,
+            "{} changed a prediction — batching must never change results",
+            config.name
+        );
         println!(
             "  {}: {:.0} rps, p50 {}us, p99 {}us, mean batch {:.1}",
             config.name,
@@ -160,7 +164,6 @@ fn main() {
         if let Some(phases) = run.phase_summary() {
             println!("    phases: {phases}");
         }
-        config_records.push(run_record(config.name, &run));
         let better = best
             .as_ref()
             .is_none_or(|(_, b)| run.throughput_rps() > b.throughput_rps());
@@ -183,49 +186,35 @@ fn main() {
         &trace,
         4,
     );
-    if prediction_log(&int8_seq.predictions) != prediction_log(&int8_batched.predictions) {
-        predictions_identical = false;
-    }
-
-    let batched_rps = best_run.throughput_rps();
-    let sequential_rps = sequential.throughput_rps();
-    let batched_speedup = batched_rps / sequential_rps.max(1e-12);
-    let batched_p99_us = best_run.latency_percentile_us(0.99);
-    let p99_within_cutoff = batched_p99_us <= best_config.max_latency_us;
-    println!(
-        "best: {} at {batched_rps:.0} rps ({batched_speedup:.2}x sequential), \
-         p99 {batched_p99_us}us (cutoff {}us), predictions identical: {predictions_identical}",
-        best_config.name, best_config.max_latency_us
+    assert!(
+        prediction_log(&int8_seq.predictions) == prediction_log(&int8_batched.predictions),
+        "batching changed an int8 prediction"
     );
 
-    let json = serde_json::to_string_pretty(&Value::Object(vec![
-        (
-            "budget".to_string(),
-            Value::String(budget_name(DEFAULT_BUDGET).to_owned()),
-        ),
-        ("requests".to_string(), Value::Number(requests as f64)),
-        ("arch".to_string(), Value::String("ResNet18".to_string())),
-        ("preset".to_string(), Value::String(preset.name().to_string())),
-        ("sequential".to_string(), run_record("sequential", &sequential)),
-        ("configs".to_string(), Value::Array(config_records)),
-        ("best_config".to_string(), Value::String(best_config.name.to_string())),
-        ("batched_rps".to_string(), Value::Number(batched_rps)),
-        ("batched_speedup".to_string(), Value::Number(batched_speedup)),
-        ("batched_p99_us".to_string(), Value::Number(batched_p99_us as f64)),
-        ("p99_within_cutoff".to_string(), Value::Bool(p99_within_cutoff)),
-        ("predictions_identical".to_string(), Value::Bool(predictions_identical)),
-        (
-            "int8".to_string(),
-            Value::Object(vec![
-                ("acc_f32".to_string(), Value::Number(acc_f32 as f64)),
-                ("acc_int8".to_string(), Value::Number(acc_int8 as f64)),
-                ("delta_points".to_string(), Value::Number(delta_points)),
-            ]),
-        ),
-    ]))
-    .expect("benchmark record always serializes");
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let path = std::path::Path::new(root).join("BENCH_serve.json");
-    std::fs::write(&path, json + "\n").expect("failed to write BENCH_serve.json");
-    println!("wrote {}", path.display());
+    let batched_rps = best_run.throughput_rps();
+    let batched_speedup = batched_rps / sequential.throughput_rps().max(1e-12);
+    let batched_p99_us = best_run.latency_percentile_us(0.99);
+    let cutoff_us = best_config.max_latency_us;
+    println!(
+        "best: {} at {batched_rps:.0} rps ({batched_speedup:.2}x sequential, floor \
+         {SPEEDUP_FLOOR}x), p99 {batched_p99_us}us (cutoff {cutoff_us}us, cap {P99_CAP_US}us), \
+         predictions identical",
+        best_config.name
+    );
+    assert!(
+        batched_speedup >= SPEEDUP_FLOOR,
+        "batched speedup {batched_speedup:.2}x is below its {SPEEDUP_FLOOR}x floor"
+    );
+    assert!(
+        batched_p99_us <= cutoff_us,
+        "best config's p99 {batched_p99_us}us exceeds its {cutoff_us}us cutoff"
+    );
+    assert!(
+        batched_p99_us <= P99_CAP_US,
+        "best config's p99 {batched_p99_us}us exceeds the {P99_CAP_US}us cap"
+    );
+    assert!(
+        delta_points <= INT8_DELTA_CAP_PTS,
+        "int8 quantization costs {delta_points:.2} pts, over the {INT8_DELTA_CAP_PTS} pt cap"
+    );
 }

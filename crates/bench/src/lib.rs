@@ -14,15 +14,23 @@
 //!   `fig02`, `fig05`, `all_tables`) regenerates one table at the `full`
 //!   budget (or the `CAE_BUDGET` override) and writes the JSON artifact to
 //!   `results/`.
+//! * The `bench_*` bins each measure one contract and check it where they
+//!   measure it, exiting non-zero when it breaks: `bench_kernels` (blocked
+//!   vs naive kernel speedups, gated against the committed
+//!   `BENCH_kernels.json` before it is overwritten), `bench_trace`
+//!   (tracing overhead and report identity), `bench_faults` (fault
+//!   isolation and exact recovery), `bench_experiments` (the cell-parallel
+//!   scaling curve) and `bench_serve` (dynamic-batching throughput, p99,
+//!   int8 accuracy and batch-invariant predictions). `BENCH_kernels.json`
+//!   is the only record they write; end-to-end numbers come from
+//!   `perfbench/`.
 
 use cae_core::config::{Config, ExperimentBudget};
 use cae_core::report::Report;
 use std::path::PathBuf;
 
-pub mod compare;
-
 /// The budget preset name a bin runs at: `CAE_BUDGET` if set, else
-/// `default_name`. Bins record this name next to their measurements.
+/// `default_name`. Bins print this name next to their measurements.
 pub fn budget_name(default_name: &str) -> &str {
     Config::get().budget.as_deref().unwrap_or(default_name)
 }

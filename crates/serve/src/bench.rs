@@ -1,10 +1,10 @@
 //! Serving benchmark harness: deterministic request traces, closed- and
 //! open-loop drivers, latency statistics, and a byte-stable prediction log.
 //!
-//! The same harness backs three surfaces: the `bench_serve` bin (writes
-//! `BENCH_serve.json`), the `cae-dfkd serve-bench` subcommand, and the
-//! determinism integration test (same trace ⇒ byte-identical
-//! [`prediction_log`] across batching configurations).
+//! The same harness backs three surfaces: the `bench_serve` bin (checks the
+//! serve contract at measurement time), the `cae-dfkd serve-bench`
+//! subcommand, and the determinism integration test (same trace ⇒
+//! byte-identical [`prediction_log`] across batching configurations).
 
 use crate::server::{Prediction, ServeOptions, Server, Ticket};
 use cae_nn::infer::FrozenClassifier;

@@ -16,7 +16,8 @@
 //!
 //! Tracing is observational only: it never touches RNG state or model
 //! state, so reports are byte-identical with tracing on and off (enforced
-//! by `scripts/tier1.sh` and the `bench_trace` benchmark).
+//! by `scripts/tier1.sh` and the `bench_trace` benchmark, which also fails
+//! when enabling tracing costs more than 3% wall-clock).
 //!
 //! ## Model
 //!

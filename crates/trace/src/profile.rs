@@ -455,9 +455,9 @@ pub struct TraceDiff {
 }
 
 /// Aligns two span trees by name and reports per-span self-time deltas:
-/// the attribution step behind `cae-dfkd trace-diff` and the bench gate's
-/// regression output. Spans appearing in only one profile compare against
-/// zero, so added or removed phases surface as whole-size deltas.
+/// the attribution step behind `cae-dfkd trace-diff`. Spans appearing in
+/// only one profile compare against zero, so added or removed phases
+/// surface as whole-size deltas.
 pub fn diff(baseline: &Profile, current: &Profile) -> TraceDiff {
     let mut names: Vec<&String> = baseline.stats.keys().collect();
     names.extend(current.stats.keys());

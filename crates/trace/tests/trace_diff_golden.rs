@@ -3,8 +3,8 @@
 //! of the two steps inflated by 1600ns; every other span's *self* time is
 //! unchanged because parent durations grow by exactly the injected
 //! amount). The diff must name that span, with the exact delta, and the
-//! rendering must carry the attribution line verbatim so the bench gate's
-//! regression output can be grepped for it.
+//! rendering must carry the attribution line verbatim so `cae-dfkd
+//! trace-diff` output can be grepped for it.
 
 use cae_trace::profile::{diff, Profile};
 

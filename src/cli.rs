@@ -284,8 +284,8 @@ CAE_METRICS_INTERVAL_MS to snapshot every N ms in-process.
 
 `trace-diff` aligns two saved trace_*.jsonl span trees by span name and
 prints per-span self-time deltas sorted by absolute contribution, naming
-the top-delta span — the regression-attribution view the bench gate uses
-when a traced run slows down.
+the top-delta span — the regression-attribution view for a traced run
+that slowed down.
 
 `health` runs the experiment with tracing forced on and prints a
 training-health verdict (NaN/Inf, divergence, plateau) per recorded series
