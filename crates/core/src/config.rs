@@ -189,17 +189,16 @@ pub struct ConfigEntry {
 /// and `cae-serve`.
 ///
 /// Every knob is read through the [`cae_trace::knob`] grammar. Knobs owned
-/// by a lower crate (`CAE_SIMD`, `CAE_NUM_THREADS`, `CAE_AUTOTUNE*`,
-/// `CAE_TRACE*`, `CAE_METRICS_INTERVAL_MS`) are not mirrored here: each is
-/// parsed once by its owning accessor, and [`Config::render`] reports what
-/// those accessors resolved. Fields are parsed on the first [`Config::get`]
-/// call; later environment mutations have no effect. In-process harnesses
-/// that need to vary a knob between runs use the typed overrides
+/// by a lower crate (`CAE_SIMD`, `CAE_NUM_THREADS`, `CAE_TRACE*`,
+/// `CAE_METRICS_INTERVAL_MS`) are not mirrored here: each is parsed once by
+/// its owning accessor, and [`Config::render`] reports what those accessors
+/// resolved. Fields are parsed on the first [`Config::get`] call; later
+/// environment mutations have no effect. In-process harnesses that need to
+/// vary a knob between runs use the typed overrides
 /// ([`crate::experiments::scheduler::force_cell_parallelism`],
 /// [`crate::experiments::scheduler::force_fault_policy`],
 /// `cae_tensor::simd::force_backend`, `cae_tensor::pool::force_pool_size`,
-/// `cae_tensor::autotune::force_autotune`, `cae_trace::force_enabled`)
-/// instead of mutating the environment.
+/// `cae_trace::force_enabled`) instead of mutating the environment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Config {
     /// Per-cell kernel thread budget override (`CAE_CELL_THREAD_BUDGET`);
@@ -257,8 +256,6 @@ impl Config {
         &[
             ConfigEntry { var: "CAE_SIMD", values: "`scalar`/`avx2`/`neon`", default: "auto-detect", doc: "SIMD backend for all f32 kernels; unsupported requests fall back to detection. All backends are bit-identical." },
             ConfigEntry { var: "CAE_NUM_THREADS", values: "integer ≥ 1", default: "all cores", doc: "Tensor-pool parallelism (kernel and cell levels share the pool cooperatively)." },
-            ConfigEntry { var: "CAE_AUTOTUNE", values: "bool (off-tokens disable)", default: "on", doc: "Measure candidate GEMM blockings/cutoffs once per shape-class and cache the winner; results are bit-identical either way." },
-            ConfigEntry { var: "CAE_AUTOTUNE_CACHE", values: "path, or off-tokens", default: "temp dir, host-keyed", doc: "On-disk autotune winner cache; off-tokens disable persistence (in-process tuning still runs)." },
             ConfigEntry { var: "CAE_TRACE", values: "bool (`1`/`true`/`on`/`yes` enable)", default: "off", doc: "In-process tracing: spans, counters, gauges, series." },
             ConfigEntry { var: "CAE_TRACE_MAX_EVENTS", values: "integer ≥ 1", default: "65536", doc: "Per-thread span/counter event cap; excess is dropped and flagged." },
             ConfigEntry { var: "CAE_TRACE_SERIES_CAP", values: "integer ≥ 1", default: "65536", doc: "Per-thread series event cap." },
@@ -298,8 +295,6 @@ impl Config {
         let rows: Vec<(&str, String)> = vec![
             ("CAE_SIMD", cae_tensor::simd::active_backend().name().to_owned()),
             ("CAE_NUM_THREADS", cae_tensor::pool::max_parallelism().to_string()),
-            ("CAE_AUTOTUNE", cae_tensor::autotune::enabled().to_string()),
-            ("CAE_AUTOTUNE_CACHE", cae_tensor::autotune::cache_enabled().to_string()),
             ("CAE_TRACE", cae_trace::enabled().to_string()),
             ("CAE_TRACE_MAX_EVENTS", cae_trace::event_cap().to_string()),
             ("CAE_TRACE_SERIES_CAP", cae_trace::series_cap().to_string()),

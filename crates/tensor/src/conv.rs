@@ -25,8 +25,7 @@
 //! the thread count would make `dW`/`db` rounding — and therefore whole
 //! training trajectories — depend on `CAE_NUM_THREADS`.
 
-use crate::autotune::PARALLEL_FLOP_THRESHOLD;
-use crate::gemm::{gemm, gemm_with, BSource};
+use crate::gemm::{gemm, gemm_with, BSource, PARALLEL_FLOP_THRESHOLD};
 use crate::pool;
 use crate::simd::vecmath;
 use crate::tensor::Tensor;

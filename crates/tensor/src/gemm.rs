@@ -25,23 +25,21 @@
 //!   fallback. Per output element the k-loop is one sequential FMA chain,
 //!   so the result is bit-identical across backends and tile shapes (see
 //!   the determinism policy in [`crate::simd`]).
-//! * **Cache blocking** — `mc/KC/nc` outer loops keep the packed A block in
-//!   L2 and the packed B panel streaming through L1. The row/column block
-//!   sizes and the parallel/serial cutoff come from
-//!   [`crate::autotune::plan_gemm`]: measured once per shape class when
-//!   autotuning is on, the static defaults otherwise. The depth block `KC`
-//!   is fixed — tuning it would change accumulation grouping and bits.
-//! * **Adaptive parallelism** — row blocks go through
-//!   [`crate::pool::parallel_for`] when the plan says so, sized from the
-//!   calling thread's budget ([`crate::pool::current_parallelism`]), so a
-//!   GEMM inside a budgeted experiment cell only recruits its cell's share
-//!   of the pool; on single-core hosts or small products everything runs
-//!   inline.
+//! * **Cache blocking** — `MC/KC/NC` outer loops keep the packed A block in
+//!   L2 and the packed B panel streaming through L1. `MC`, `NC` and the
+//!   thread count only partition the output space, so they never change a
+//!   result bit; the depth block `KC` sets where partial sums are stored
+//!   and re-added, so it is fixed.
+//! * **Adaptive parallelism** — products of at least
+//!   [`PARALLEL_FLOP_THRESHOLD`] FLOPs fan their row blocks out through
+//!   [`crate::pool::parallel_for`], sized from the calling thread's budget
+//!   ([`crate::pool::current_parallelism`]), so a GEMM inside a budgeted
+//!   experiment cell only recruits its cell's share of the pool; on
+//!   single-core hosts or small products everything runs inline.
 //!
 //! Packing buffers come from [`crate::workspace`], so steady-state calls
 //! allocate nothing.
 
-use crate::autotune;
 use crate::pool;
 use crate::simd::{self, simd_dispatch, SimdF32, LANES};
 use crate::workspace::{self, Slot};
@@ -51,11 +49,17 @@ const MR: usize = 4;
 /// Micro-kernel columns: two 8-lane SIMD vectors per row (8 accumulator
 /// registers total on AVX2, half the register file).
 const NR: usize = 2 * LANES;
-/// Depth-block size. Fixed (never autotuned): splitting k into blocks
-/// stores and re-adds partial products, so the block size participates in
-/// the f32 accumulation order — see the determinism policy in
-/// [`crate::autotune`].
+/// Depth-block size. Splitting k into blocks stores and re-adds partial
+/// products, so unlike `MC`/`NC` this size participates in the f32
+/// accumulation order: changing it changes result bits.
 const KC: usize = 256;
+/// Row-block size (shrunk to share rows out when parallel).
+const MC: usize = 64;
+/// Column-block size.
+const NC: usize = 256;
+/// Products below this many FLOPs (`2 m n k`) never leave the calling
+/// thread. Convolution keys its batch chunking off the same cutoff.
+pub const PARALLEL_FLOP_THRESHOLD: usize = 1 << 21;
 
 /// Strides describing how a logical `rows x cols` operand maps onto its
 /// backing slice: element `(i, j)` lives at `i * row_stride + j * col_stride`.
@@ -165,27 +169,23 @@ pub(crate) fn gemm_with(
     // (millions per run would instantly hit the per-thread event cap).
     let _gemm_span = cae_trace::span_stat("gemm");
 
-    // Blocking and the parallel cutoff come from the autotuner, sized
-    // against this thread's budget (its cell's share of the pool, or the
-    // whole pool at top level). While the shape class is warming up the
-    // call itself is the benchmark: time it and feed the sample back.
+    // Parallel only above the FLOP cutoff, sized against this thread's
+    // budget (its cell's share of the pool, or the whole pool at top level).
     let budget = pool::current_parallelism();
-    let plan = autotune::plan_gemm(m, n, k, budget);
-    let timer = plan.measure.map(|_| std::time::Instant::now());
-    let autotune::GemmConfig {
-        mc: mc_max,
-        nc: nc_max,
-        threads,
-    } = plan.config;
+    let threads = if budget > 1 && 2 * m * n * k >= PARALLEL_FLOP_THRESHOLD {
+        budget
+    } else {
+        1
+    };
 
     // Unzeroed: `pack_b` overwrites every element of the region the
     // micro-kernel reads (padding included).
     let mut bbuf =
-        workspace::take_unzeroed(Slot::PackB, n.min(nc_max).div_ceil(NR) * NR * k.min(KC));
+        workspace::take_unzeroed(Slot::PackB, n.min(NC).div_ceil(NR) * NR * k.min(KC));
     let cptr = SendPtr(c.as_mut_ptr());
 
-    for jc in (0..n).step_by(nc_max) {
-        let nc = nc_max.min(n - jc);
+    for jc in (0..n).step_by(NC) {
+        let nc = NC.min(n - jc);
         for pc in (0..k).step_by(KC) {
             let kc = KC.min(k - pc);
             pack_b(&mut bbuf, b, pc, kc, jc, nc);
@@ -196,9 +196,9 @@ pub(crate) fn gemm_with(
             // Shrink row blocks when parallel so every thread gets work,
             // but never below one micro-tile.
             let mc_step = if threads > 1 {
-                mc_max.min(m.div_ceil(threads).next_multiple_of(MR))
+                MC.min(m.div_ceil(threads).next_multiple_of(MR))
             } else {
-                mc_max
+                MC
             };
             let blocks = m.div_ceil(mc_step);
             let run = |blk: usize| {
@@ -224,9 +224,6 @@ pub(crate) fn gemm_with(
         }
     }
     workspace::give(Slot::PackB, bbuf);
-    if let (Some(candidate), Some(timer)) = (plan.measure, timer) {
-        autotune::record(m, n, k, budget, candidate, timer.elapsed());
-    }
 }
 
 /// Reference implementation: the seed's naive i-k-j saxpy loop (minus its

@@ -35,7 +35,6 @@
 //! ```
 
 pub mod autograd;
-pub mod autotune;
 pub mod conv;
 pub mod error;
 pub mod gemm;

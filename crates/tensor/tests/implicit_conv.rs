@@ -10,9 +10,8 @@
 //! the `NR` panel and the default `nc` block, and both forward chunk
 //! counts (one chunk, and one per budgeted thread).
 
-use cae_tensor::autotune::PARALLEL_FLOP_THRESHOLD;
 use cae_tensor::conv::{self, Conv2dSpec, ConvEpilogue, ConvGrads};
-use cae_tensor::gemm::gemm;
+use cae_tensor::gemm::{gemm, PARALLEL_FLOP_THRESHOLD};
 use cae_tensor::pool;
 use cae_tensor::rng::TensorRng;
 use cae_tensor::simd::vecmath;
@@ -352,6 +351,46 @@ fn batch_17_forward_is_bit_identical_to_batch_1_per_image() {
                 &format!("{epilogue:?} image {ni}"),
                 &batched.data()[ni * per_image..][..per_image],
                 yi.data(),
+            );
+        }
+    }
+}
+
+#[test]
+fn serial_and_parallel_gemm_plans_are_bit_identical() {
+    wide_pool();
+    // 2·203·300·290 flops ≥ PARALLEL_FLOP_THRESHOLD: at the top level the
+    // GEMM shares 52-row blocks out over the 4-thread pool; inside a pool
+    // task (budget 1) it walks 64-row blocks serially. Row and column
+    // blocks only partition the output, so the bits must not move — across
+    // the NC = 256 column block, the KC = 256 depth block, a row count off
+    // the MR = 4 tile, and the NN, NT and TN layouts.
+    let (m, n, k) = (203, 300, 290);
+    const { assert!(2 * 203 * 300 * 290 >= PARALLEL_FLOP_THRESHOLD) };
+    assert!(
+        pool::current_parallelism() > 1,
+        "top level must see the wide pool"
+    );
+    let mut rng = TensorRng::seed_from(80);
+    let a = rng.normal_tensor(&[m * k], 0.0, 1.0);
+    let b = rng.normal_tensor(&[k * n], 0.0, 1.0);
+    let c0 = rng.normal_tensor(&[m * n], 0.0, 1.0);
+    let layouts = [
+        ("NN", (k, 1), (n, 1)),
+        ("NT", (k, 1), (1, k)),
+        ("TN", (1, m), (n, 1)),
+    ];
+    for (layout, a_strides, b_strides) in layouts {
+        for accumulate in [false, true] {
+            let run = || {
+                let mut c = c0.data().to_vec();
+                gemm(m, n, k, a.data(), a_strides, b.data(), b_strides, &mut c, accumulate);
+                c
+            };
+            assert_bits(
+                &format!("{layout} accumulate={accumulate} parallel vs serial"),
+                &run(),
+                &with_budget_one(run),
             );
         }
     }

@@ -16,8 +16,8 @@
 //!
 //! Knobs with their own value syntax (paths, backend names, `prob:seed`)
 //! take the raw string from [`raw`]. Parse-once caching stays with each
-//! knob's owning accessor (`enabled`, `pool`, `autotune`, …); this module
-//! only reads and parses.
+//! knob's owning accessor (`enabled`, `pool`, `active_backend`, …); this
+//! module only reads and parses.
 
 /// The variable's value, or `None` when it is unset (or not Unicode).
 pub fn raw(var: &str) -> Option<String> {

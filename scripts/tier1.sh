@@ -96,18 +96,18 @@ CAE_BUDGET=smoke \
 # ... and two serve-bench runs with different batching cutoffs must write
 # byte-identical prediction logs (the serve determinism invariant, checked
 # by external byte-diff rather than in-process comparison).
-CAE_BUDGET=smoke cargo run --release --offline -- serve-bench \
+cargo run --release --offline -- serve-bench --budget smoke \
   --requests 200 --clients 4 --max-batch 8 --max-latency-us 20000 \
   --log "$trace_tmp/serve_a.log" >/dev/null
-CAE_BUDGET=smoke cargo run --release --offline -- serve-bench \
+cargo run --release --offline -- serve-bench --budget smoke \
   --requests 200 --clients 8 --max-batch 32 --max-latency-us 50000 \
   --log "$trace_tmp/serve_b.log" >/dev/null
 cmp "$trace_tmp/serve_a.log" "$trace_tmp/serve_b.log"
 # Cell-parallel scaling smoke: a 2-thread cell-parallel run must reproduce
-# the serial report byte-for-byte, with and without GEMM autotuning — and,
-# when the host actually has the cores, it must not be slower than serial
-# (the cooperative scheduler's whole point). Skipped on single-core hosts:
-# time-slicing two pool threads on one core measures nothing.
+# the serial report byte-for-byte — and, when the host actually has the
+# cores, it must not be slower than serial (the cooperative scheduler's
+# whole point). Skipped on single-core hosts: time-slicing two pool threads
+# on one core measures nothing.
 if [ "$(nproc)" -ge 2 ]; then
   serial_start=$(date +%s%N)
   CAE_BUDGET=smoke CAE_TRACE=0 CAE_NUM_THREADS=1 CAE_CELL_PARALLEL=0 \
@@ -120,10 +120,6 @@ if [ "$(nproc)" -ge 2 ]; then
     cargo run --release --offline -p cae-bench --bin table02 >/dev/null
   par_ns=$(( $(date +%s%N) - par_start ))
   cmp "$trace_tmp/scale_serial/table_ii.json" "$trace_tmp/scale_2t/table_ii.json"
-  CAE_BUDGET=smoke CAE_TRACE=0 CAE_NUM_THREADS=2 CAE_CELL_PARALLEL=1 \
-    CAE_AUTOTUNE=0 CAE_RESULTS_DIR="$trace_tmp/scale_2t_notune" \
-    cargo run --release --offline -p cae-bench --bin table02 >/dev/null
-  cmp "$trace_tmp/scale_serial/table_ii.json" "$trace_tmp/scale_2t_notune/table_ii.json"
   # Sanity, not a benchmark: allow 10% noise headroom, but a 2-thread run
   # that is materially slower than serial means the levels are fighting.
   if [ $((par_ns * 10)) -gt $((serial_ns * 11)) ]; then

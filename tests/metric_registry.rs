@@ -1,7 +1,8 @@
-//! Registries checked against the source: every statically-named
-//! instrumentation point in the workspace must be documented in DESIGN.md's
-//! Telemetry table, and every `CAE_*` knob must be a `Config::entries()`
-//! entry read through the `cae_trace::knob` grammar.
+//! Registries checked against the source, in both directions: every
+//! statically-named instrumentation point in the workspace must be
+//! documented in DESIGN.md's Telemetry table and every row of that table
+//! must name one; every `CAE_*` knob must be a `Config::entries()` entry
+//! read through the `cae_trace::knob` grammar, and every entry must be read.
 //!
 //! The scanner is deliberately dumb — a hand-rolled substring walk over
 //! the non-test source (everything before the first `#[cfg(test)]`) for
@@ -17,13 +18,13 @@ use std::path::{Path, PathBuf};
 
 /// Recording calls whose first argument is the metric name literal.
 const CALLS: [&str; 8] = [
-    "span(\"",
-    "span_with(\"",
-    "span_stat(\"",
-    "counter(\"",
-    "gauge(\"",
-    "series(\"",
-    "histogram(\"",
+    "span(",
+    "span_with(",
+    "span_stat(",
+    "counter(",
+    "gauge(",
+    "series(",
+    "histogram(",
     "counters(&[",
 ];
 
@@ -112,8 +113,13 @@ fn scan_file(path: &Path, names: &mut BTreeSet<String>) {
                     names.insert(name.to_string());
                     cursor = lit_start + name.len() + 1;
                 }
-            } else if let Some(name) = read_literal(&code, at) {
-                names.insert(name.to_string());
+            } else {
+                // The literal may sit on the call's next line.
+                let arg = code[at..].trim_start();
+                let literal = arg.starts_with('"').then(|| code.len() - arg.len() + 1);
+                if let Some(name) = literal.and_then(|start| read_literal(&code, start)) {
+                    names.insert(name.to_string());
+                }
             }
             from = at;
         }
@@ -132,8 +138,8 @@ fn telemetry_section() -> String {
     rest[..end].to_string()
 }
 
-#[test]
-fn every_recorded_metric_name_is_documented_in_design_md() {
+/// Every statically-named metric the workspace's non-test source records.
+fn recorded_names() -> BTreeSet<String> {
     let mut names = BTreeSet::new();
     for file in &workspace_sources() {
         scan_file(file, &mut names);
@@ -145,7 +151,12 @@ fn every_recorded_metric_name_is_documented_in_design_md() {
         "scanner found only {} metric names — scanner or instrumentation broke: {names:?}",
         names.len()
     );
+    names
+}
 
+#[test]
+fn every_recorded_metric_name_is_documented_in_design_md() {
+    let names = recorded_names();
     let section = telemetry_section();
     let undocumented: Vec<&String> = names
         .iter()
@@ -154,6 +165,27 @@ fn every_recorded_metric_name_is_documented_in_design_md() {
     assert!(
         undocumented.is_empty(),
         "metric names recorded in code but missing from DESIGN.md's Telemetry table: {undocumented:?}"
+    );
+}
+
+#[test]
+fn every_telemetry_row_names_a_recorded_metric() {
+    let names = recorded_names();
+    let section = telemetry_section();
+    let rows: Vec<&str> = section
+        .lines()
+        .filter_map(|line| line.strip_prefix("| `")?.split('`').next())
+        .collect();
+    assert!(rows.len() > 25, "Telemetry table parse found too few rows: {rows:?}");
+    // Run-time-assembled names (`gemm.backend.<backend>`) are documented
+    // by pattern and cannot match a literal.
+    let stale: Vec<&&str> = rows
+        .iter()
+        .filter(|row| !row.contains('<') && !names.contains(**row))
+        .collect();
+    assert!(
+        stale.is_empty(),
+        "DESIGN.md Telemetry rows that no code records: {stale:?}"
     );
 }
 
@@ -191,6 +223,7 @@ fn every_knob_is_registered_and_read_through_the_grammar() {
     assert_eq!(registered.len(), Config::entries().len(), "duplicate Config entry");
 
     let mut knobs = BTreeSet::new();
+    let mut read = BTreeSet::new();
     let mut stray_reads = Vec::new();
     let mut handoffs_seen = BTreeSet::new();
     let mut off_token_lists = Vec::new();
@@ -203,7 +236,17 @@ fn every_knob_is_registered_and_read_through_the_grammar() {
             let len = code[start..]
                 .find(|c: char| !(c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_'))
                 .unwrap_or(code.len() - start);
-            knobs.insert((code[start..start + len].to_string(), rel.clone()));
+            let name = code[start..start + len].to_string();
+            // A knob is read where its literal is the argument of a grammar
+            // call: `knob::off("CAE_X")`, `cae_trace::knob::raw("CAE_X")`.
+            let call = code[..start - 1].rsplit("knob::").next().unwrap_or("");
+            let is_read = call.strip_suffix('(').is_some_and(|f| {
+                !f.is_empty() && f.chars().all(|c| c.is_ascii_lowercase() || c == '_')
+            });
+            if is_read {
+                read.insert(name.clone());
+            }
+            knobs.insert((name, rel.clone()));
             from = start + len;
         }
         if rel != GRAMMAR_MODULE {
@@ -235,6 +278,11 @@ fn every_knob_is_registered_and_read_through_the_grammar() {
     assert!(
         unregistered.is_empty(),
         "CAE_* literals in code that are not Config::entries() knobs: {unregistered:?}"
+    );
+    let unread: Vec<_> = registered.iter().filter(|var| !read.contains(**var)).collect();
+    assert!(
+        unread.is_empty(),
+        "Config::entries() knobs that no code reads through cae_trace::knob: {unread:?}"
     );
     assert!(
         stray_reads.is_empty(),
