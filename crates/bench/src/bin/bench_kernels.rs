@@ -28,10 +28,10 @@ use cae_tensor::gemm::{gemm, gemm_reference};
 use cae_tensor::rng::TensorRng;
 use cae_tensor::simd::vecmath;
 use cae_tensor::{Tensor, Var};
-use criterion::{black_box, measure};
 use serde::Value;
+use std::hint::black_box;
 use std::process::ExitCode;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Measurement window per benchmark; long enough for stable means on the
 /// sub-millisecond kernels measured here.
@@ -40,6 +40,31 @@ const WINDOW: Duration = Duration::from_millis(300);
 /// Fraction of its prior speedup a kernel row must retain: a 2× band
 /// absorbs host noise, losing more means a real kernel regression.
 const SPEEDUP_RETENTION: f64 = 0.5;
+
+/// Runs `f` long enough for a stable mean and returns its wall-clock
+/// nanoseconds per iteration. Warms up and calibrates by doubling the batch
+/// until it costs at least 1/20 of `window`, then times a run sized to fill
+/// `window`.
+fn measure<O>(mut f: impl FnMut() -> O, window: Duration) -> f64 {
+    let mut batch: u64 = 1;
+    let per_iter = loop {
+        let start = Instant::now();
+        for _ in 0..batch {
+            black_box(f());
+        }
+        let elapsed = start.elapsed();
+        if elapsed >= window / 20 || batch >= 1 << 30 {
+            break elapsed.as_secs_f64() / batch as f64;
+        }
+        batch *= 2;
+    };
+    let iters = ((window.as_secs_f64() / per_iter.max(1e-9)) as u64).clamp(1, 1 << 32);
+    let start = Instant::now();
+    for _ in 0..iters {
+        black_box(f());
+    }
+    start.elapsed().as_secs_f64() * 1e9 / iters as f64
+}
 
 struct Record {
     op: &'static str,
@@ -76,19 +101,19 @@ fn bench_pair<O1, O2>(
     mut fast: impl FnMut() -> O1,
     naive: Option<&mut dyn FnMut() -> O2>,
 ) -> Record {
-    let m = measure(&mut fast, WINDOW);
-    let gflops = flops as f64 / m.ns_per_iter;
+    let ns_per_iter = measure(&mut fast, WINDOW);
+    let gflops = flops as f64 / ns_per_iter;
     let (naive_ns, speedup) = match naive {
         Some(naive_fn) => {
-            let nm = measure(naive_fn, WINDOW);
-            (Some(nm.ns_per_iter), Some(nm.ns_per_iter / m.ns_per_iter))
+            let naive_ns = measure(naive_fn, WINDOW);
+            (Some(naive_ns), Some(naive_ns / ns_per_iter))
         }
         None => (None, None),
     };
     let rec = Record {
         op,
         shape,
-        ns_per_iter: m.ns_per_iter,
+        ns_per_iter,
         gflops,
         naive_ns_per_iter: naive_ns,
         speedup,
@@ -332,7 +357,7 @@ fn main() -> ExitCode {
 
     // -- GEMM, all three layouts, at DFKD-realistic shapes. ---------------
     let mut records = vec![
-        // The acceptance shape from the criterion suite.
+        // The 64x128x96 acceptance shape.
         gemm_record("matmul", 64, 96, 128, (128, 1), (96, 1), &mut rng),
         // Generator fc: z[16, 64] -> [16, base*3*3] at base_width 24.
         gemm_record("matmul", 16, 216, 64, (64, 1), (216, 1), &mut rng),

@@ -72,10 +72,10 @@ impl Default for DfkdConfig {
 
 /// Step budgets controlling how long each phase trains.
 ///
-/// Two presets are used throughout: [`ExperimentBudget::fast`] (what
-/// `cargo bench`/`cargo test` run; finishes a full table in minutes on two
-/// CPU cores) and [`ExperimentBudget::full`] (the `--bin` runners; several
-/// times larger). Both are recorded in EXPERIMENTS.md next to every number.
+/// Two presets are used throughout: [`ExperimentBudget::fast`] (the
+/// `cae-dfkd table` default; finishes a full table in minutes on two CPU cores)
+/// and [`ExperimentBudget::full`] (several times larger). Both are recorded
+/// in EXPERIMENTS.md next to every number.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExperimentBudget {
     /// Supervised pre-training steps for teachers and data-accessible
@@ -106,8 +106,8 @@ serde::impl_json_struct!(ExperimentBudget {
 });
 
 impl ExperimentBudget {
-    /// The budget used by `cargo test` / `cargo bench`: small but large
-    /// enough that method orderings are measurable.
+    /// The default budget of `cae-dfkd table` and of the `paper_shapes`
+    /// tests: small but large enough that method orderings are measurable.
     pub fn fast() -> Self {
         ExperimentBudget {
             pretrain_steps: 160,
@@ -120,7 +120,8 @@ impl ExperimentBudget {
         }
     }
 
-    /// The budget used by the full `--bin` runners.
+    /// The largest preset (`cae-dfkd table <id> --budget full`): several
+    /// times the fast budget.
     pub fn full() -> Self {
         ExperimentBudget {
             pretrain_steps: 400,
@@ -210,11 +211,13 @@ pub struct Config {
     pub cell_retries: usize,
     /// Deterministic fault injection (`CAE_FAULT_INJECT=<prob>:<seed>`).
     pub fault_inject: Option<(f32, u64)>,
-    /// Bench budget preset name (`CAE_BUDGET`), if set.
+    /// Budget preset name (`CAE_BUDGET`), if set; a `--budget` flag beats
+    /// it.
     pub budget: Option<String>,
-    /// Bench artifact directory override (`CAE_RESULTS_DIR`), if set.
+    /// Report artifact directory override (`CAE_RESULTS_DIR`), if set; a
+    /// `--out` flag beats it.
     pub results_dir: Option<String>,
-    /// Sweep checkpoint/resume enabled (`CAE_RESUME`).
+    /// `cae-dfkd table all` skips completed artifacts (`CAE_RESUME`).
     pub resume: bool,
     /// Serve: dynamic-batching cutoff in images (`CAE_SERVE_MAX_BATCH`).
     pub serve_max_batch: usize,
@@ -264,9 +267,9 @@ impl Config {
             ConfigEntry { var: "CAE_CELL_THREAD_BUDGET", values: "integer ≥ 1", default: "ceil(pool / cells)", doc: "Pool threads each parallel cell's kernels may recruit; the default gives surplus workers to cells when cells are scarcer than threads." },
             ConfigEntry { var: "CAE_CELL_RETRIES", values: "integer ≥ 0", default: "0", doc: "Re-runs of a panicked cell (identical derived seed, so recovery is byte-identical)." },
             ConfigEntry { var: "CAE_FAULT_INJECT", values: "`<prob>:<seed>`", default: "off", doc: "Deterministic panic injection at cell-attempt entry, for testing the recovery path." },
-            ConfigEntry { var: "CAE_BUDGET", values: "`smoke`/`fast`/`full`", default: "per-binary", doc: "Experiment budget preset for bench binaries." },
-            ConfigEntry { var: "CAE_RESULTS_DIR", values: "path", default: "`results/`", doc: "Where bench binaries write report artifacts." },
-            ConfigEntry { var: "CAE_RESUME", values: "bool (off-tokens disable)", default: "on", doc: "Reuse completed report artifacts in sweep binaries." },
+            ConfigEntry { var: "CAE_BUDGET", values: "`smoke`/`fast`/`full`", default: "per command", doc: "Experiment budget preset for `cae-dfkd` subcommands (`--budget` beats it) and the bench bins." },
+            ConfigEntry { var: "CAE_RESULTS_DIR", values: "path", default: "`results/`", doc: "Where `cae-dfkd table` (`--out` beats it) and `render_synthetics` write report artifacts." },
+            ConfigEntry { var: "CAE_RESUME", values: "bool (off-tokens disable)", default: "on", doc: "`cae-dfkd table all` skips an experiment whose report artifact already parses." },
             ConfigEntry { var: "CAE_SERVE_MAX_BATCH", values: "integer ≥ 1", default: "16", doc: "cae-serve: max images per dynamically formed batch." },
             ConfigEntry { var: "CAE_SERVE_MAX_LATENCY_US", values: "integer ≥ 1", default: "2000", doc: "cae-serve: max µs the oldest queued request waits before a partial batch is dispatched." },
             ConfigEntry { var: "CAE_SERVE_WORKERS", values: "integer ≥ 1", default: "1", doc: "cae-serve: worker threads running batched frozen forwards." },

@@ -2,18 +2,21 @@
 //! of one data-free-distilled backbone across a *sequence* of downstream
 //! tasks, reporting per-stage performance and end-of-sequence forgetting.
 
-use cae_core::continual::continual_transfer;
-use cae_core::method::MethodSpec;
-use cae_core::pipeline::run_dfkd;
-use cae_core::report::Report;
-use cae_core::teacher::clone_classifier;
-use cae_core::transfer::TaskSet;
+use crate::config::ExperimentBudget;
+use crate::continual::continual_transfer;
+use crate::method::MethodSpec;
+use crate::pipeline::run_dfkd;
+use crate::report::Report;
+use crate::teacher::clone_classifier;
+use crate::transfer::TaskSet;
 use cae_data::dense::DensePreset;
 use cae_data::presets::ClassificationPreset;
 use cae_nn::models::Arch;
 
-fn main() {
-    let budget = cae_bench::budget_from_env("fast");
+/// Runs the continual-transfer extension. The distillation seed (42) and
+/// the dense-task seeds (11, 12) are fixed rather than derived from
+/// `budget.seed`, so the report does not move with the budget's seed.
+pub fn run(budget: &ExperimentBudget) -> Report {
     let preset = ClassificationPreset::C100Sim;
     let mut report = Report::new(
         "Continual",
@@ -22,7 +25,7 @@ fn main() {
     );
 
     for spec in [MethodSpec::vanilla(), MethodSpec::cae_dfkd(4)] {
-        let run = run_dfkd(preset, Arch::ResNet34, Arch::ResNet18, &spec, &budget, 42);
+        let run = run_dfkd(preset, Arch::ResNet34, Arch::ResNet18, &spec, budget, 42);
         let backbone = clone_classifier(
             run.student.as_ref(),
             Arch::ResNet18,
@@ -48,5 +51,5 @@ fn main() {
         }
     }
     report.note("extension beyond the paper: does CAE-DFKD's domain-invariant representation also forget less?");
-    cae_bench::emit(&report);
+    report
 }

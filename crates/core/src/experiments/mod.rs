@@ -3,6 +3,7 @@
 //! (modulo the substitutions documented in DESIGN.md) as the paper.
 
 pub mod ablations;
+pub mod continual;
 pub mod fig02;
 pub mod fig05;
 pub mod scheduler;
@@ -26,6 +27,7 @@ use crate::teacher::clone_classifier;
 use scheduler::CellError;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::{Path, PathBuf};
 use crate::transfer::{transfer_evaluate, TaskSet, TransferMetrics};
 use cae_data::dense::{DenseDataset, DensePreset};
 use cae_data::presets::ClassificationPreset;
@@ -119,7 +121,7 @@ pub fn transfer_clone(
 /// isolated cell — e.g. during report assembly). Cell-level failures are
 /// absorbed into `FAILED(...)` report rows instead (see
 /// [`push_failure_rows`]); this error is the outer safety net that keeps
-/// one broken table from aborting an `all_tables` sweep.
+/// one broken table from aborting a `cae-dfkd table all` sweep.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExperimentError {
     /// Registry id of the experiment that failed.
@@ -146,16 +148,16 @@ impl std::error::Error for ExperimentError {}
 
 /// One registered experiment runner: a stable id, a human title and the
 /// runner entry point. The registry is the single authority every consumer
-/// (bench bins, benches, the CLI, examples) looks experiments up in, so
-/// adding a runner module means adding exactly one entry here.
+/// (the CLI, the bench bins, perfbench) looks experiments up in, so adding
+/// a runner module means adding exactly one entry here.
 #[derive(Debug, Clone, Copy)]
 pub struct ExperimentEntry {
     /// Stable lookup id, equal to the runner module's name ("table02").
     pub id: &'static str,
     /// Short human-readable title.
     pub title: &'static str,
-    /// Whether the paper itself reports this table/figure (the ablation
-    /// suite is ours and is excluded from paper-order sweeps).
+    /// Whether the paper itself reports this table/figure (the ablation and
+    /// continual suites are ours and are excluded from paper-order sweeps).
     pub in_paper: bool,
     /// File stem of the report artifact the runner produces
     /// (`Report::file_stem()` of its report id, e.g. "table_ii"), declared
@@ -167,6 +169,17 @@ pub struct ExperimentEntry {
 }
 
 impl ExperimentEntry {
+    /// The path of this entry's completed report artifact under `dir`, if
+    /// there is one. "Completed" means `<artifact_stem>.json` exists *and*
+    /// parses back as a [`Report`]: a torn artifact from an interrupted
+    /// earlier run counts as absent, so a resumed sweep re-runs it.
+    pub fn completed_artifact_in(&self, dir: &Path) -> Option<PathBuf> {
+        let path = dir.join(format!("{}.json", self.artifact_stem));
+        let json = std::fs::read_to_string(&path).ok()?;
+        Report::from_json(&json).ok()?;
+        Some(path)
+    }
+
     /// Runs the experiment inside an `experiment` trace span tagged with
     /// the registry id, so a drained trace attributes every interval to
     /// the table that produced it. The runner executes under
@@ -234,7 +247,7 @@ pub fn push_cell_row<V: IntoRowValues>(report: &mut Report, label: &str, outcome
 }
 
 /// Every experiment, in paper order (tables and figures interleaved as the
-/// paper presents them), with the ablation suite last.
+/// paper presents them), with the two suites beyond the paper last.
 pub const REGISTRY: &[ExperimentEntry] = &[
     ExperimentEntry {
         id: "table01",
@@ -334,6 +347,13 @@ pub const REGISTRY: &[ExperimentEntry] = &[
         artifact_stem: "ablations",
         runner: ablations::run,
     },
+    ExperimentEntry {
+        id: "continual",
+        title: "Continual transfer across downstream tasks (per-stage pAcc, forgetting)",
+        in_paper: false,
+        artifact_stem: "continual",
+        runner: continual::run,
+    },
 ];
 
 /// The registry, ordered as [`REGISTRY`].
@@ -350,16 +370,6 @@ pub fn find(id: &str) -> Option<&'static ExperimentEntry> {
 /// unknown ids, `Some(Err(..))` if the runner itself panicked.
 pub fn run_by_id(id: &str, budget: &ExperimentBudget) -> Option<Result<Report, ExperimentError>> {
     find(id).map(|e| e.run(budget))
-}
-
-/// Runs every table and figure the paper reports, in paper order. One
-/// failed experiment yields its `Err` slot; the sweep continues.
-pub fn run_all(budget: &ExperimentBudget) -> Vec<Result<Report, ExperimentError>> {
-    registry()
-        .iter()
-        .filter(|e| e.in_paper)
-        .map(|e| e.run(budget))
-        .collect()
 }
 
 #[cfg(test)]
@@ -414,6 +424,7 @@ mod tests {
         assert_eq!(paper.len(), 13, "eleven tables plus fig02/fig05");
         assert_eq!(paper.first(), Some(&"table01"));
         assert_eq!(paper.last(), Some(&"fig05"));
+        assert!(find("continual").is_some_and(|e| !e.in_paper));
         assert!(registry().iter().all(|e| !e.title.is_empty()));
     }
 
@@ -431,6 +442,33 @@ mod tests {
                 "stem {stem:?} must be lowercase ascii/underscore"
             );
         }
+    }
+
+    #[test]
+    fn completed_artifact_requires_a_parseable_report() {
+        let entry = find("table02").expect("registered");
+        let dir = std::env::temp_dir().join(format!("cae_resume_test_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("table_ii.json");
+
+        // No artifact yet: not completed.
+        std::fs::remove_file(&path).ok();
+        assert_eq!(entry.completed_artifact_in(&dir), None);
+
+        // Torn artifact (interrupted write): treated as absent.
+        std::fs::write(&path, "{\"id\": \"Table II\", \"tru").expect("write");
+        assert_eq!(
+            entry.completed_artifact_in(&dir),
+            None,
+            "torn JSON must not count"
+        );
+
+        // A real report artifact counts.
+        let mut report = Report::new("Table II", "demo", &["a"]);
+        report.push_row("x", [1.0]);
+        report.save_json(&dir).expect("save");
+        assert_eq!(entry.completed_artifact_in(&dir), Some(path));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -35,16 +35,16 @@ cargo test --release --offline -p cae-tensor --test grad_demand -q
 # byte-for-byte.
 trace_tmp="$(mktemp -d)"
 trap 'rm -rf "$trace_tmp"' EXIT
-CAE_BUDGET=smoke CAE_TRACE=0 CAE_RESULTS_DIR="$trace_tmp/off" \
-  cargo run --release --offline -p cae-bench --bin table02 >/dev/null
-CAE_BUDGET=smoke CAE_TRACE=1 CAE_RESULTS_DIR="$trace_tmp/on" \
-  cargo run --release --offline -p cae-bench --bin table02 >/dev/null
+CAE_TRACE=0 cargo run --release --offline -- \
+  table table02 --budget smoke --out "$trace_tmp/off" >/dev/null
+CAE_TRACE=1 cargo run --release --offline -- \
+  table table02 --budget smoke --out "$trace_tmp/on" >/dev/null
 cmp "$trace_tmp/off/table_ii.json" "$trace_tmp/on/table_ii.json"
 test -s "$trace_tmp/on/TRACE_table_ii.json"
 # Backend bit-identity end to end: a scalar-forced table run must reproduce
 # the auto-detected report byte-for-byte.
-CAE_BUDGET=smoke CAE_TRACE=0 CAE_SIMD=scalar CAE_RESULTS_DIR="$trace_tmp/scalar" \
-  cargo run --release --offline -p cae-bench --bin table02 >/dev/null
+CAE_TRACE=0 CAE_SIMD=scalar cargo run --release --offline -- \
+  table table02 --budget smoke --out "$trace_tmp/scalar" >/dev/null
 cmp "$trace_tmp/off/table_ii.json" "$trace_tmp/scalar/table_ii.json"
 # Inference-path bit-identity: exact-mode frozen graphs must reproduce the
 # Var eval forward bit-for-bit for every model (and fused graphs stay within
@@ -55,18 +55,16 @@ cargo test --release --offline -p cae-nn --test frozen_parity -q
 # Fault isolation: with deterministic injection and no retries the table
 # must still complete, rendering the injected failures as FAILED rows —
 # annotated (the run is traced) with a training-health verdict saying why.
-CAE_BUDGET=smoke CAE_TRACE=1 CAE_FAULT_INJECT=0.2:7 CAE_CELL_RETRIES=0 \
-  CAE_RESULTS_DIR="$trace_tmp/fault" \
-  cargo run --release --offline -p cae-bench --bin table02 >/dev/null
+CAE_TRACE=1 CAE_FAULT_INJECT=0.2:7 CAE_CELL_RETRIES=0 cargo run --release --offline -- \
+  table table02 --budget smoke --out "$trace_tmp/fault" >/dev/null
 grep -q 'FAILED(' "$trace_tmp/fault/table_ii.json"
 grep -q 'injected fault' "$trace_tmp/fault/table_ii.json"
 grep -q 'health:' "$trace_tmp/fault/table_ii.json"
 # ... and with retries enough to absorb every injected fault, the report
 # must be byte-identical to the uninjected baseline (retries re-run the
 # identical cell seed).
-CAE_BUDGET=smoke CAE_TRACE=0 CAE_FAULT_INJECT=0.2:7 CAE_CELL_RETRIES=20 \
-  CAE_RESULTS_DIR="$trace_tmp/retry" \
-  cargo run --release --offline -p cae-bench --bin table02 >/dev/null
+CAE_TRACE=0 CAE_FAULT_INJECT=0.2:7 CAE_CELL_RETRIES=20 cargo run --release --offline -- \
+  table table02 --budget smoke --out "$trace_tmp/retry" >/dev/null
 cmp "$trace_tmp/off/table_ii.json" "$trace_tmp/retry/table_ii.json"
 # Profiler smoke: `profile <id>` must produce flamegraph-folded stacks and
 # a self-time table that accounts for the experiment span's wall-clock.
@@ -79,9 +77,8 @@ grep -q 'self-time coverage' "$trace_tmp/profile_out.txt"
 # report byte-for-byte — and the exposition must be byte-stable: two
 # snapshots of the same quiescent process render identical
 # METRICS_table02.json.
-CAE_BUDGET=smoke CAE_TRACE=0 CAE_METRICS_INTERVAL_MS=200 \
-  CAE_RESULTS_DIR="$trace_tmp/metrics_on" \
-  cargo run --release --offline -p cae-bench --bin table02 >/dev/null
+CAE_TRACE=0 CAE_METRICS_INTERVAL_MS=200 cargo run --release --offline -- \
+  table table02 --budget smoke --out "$trace_tmp/metrics_on" >/dev/null
 cmp "$trace_tmp/off/table_ii.json" "$trace_tmp/metrics_on/table_ii.json"
 cargo run --release --offline -- metrics table02 --budget smoke \
   --out "$trace_tmp/m1" --dup "$trace_tmp/m2" >/dev/null
@@ -110,14 +107,12 @@ cmp "$trace_tmp/serve_a.log" "$trace_tmp/serve_b.log"
 # on one core measures nothing.
 if [ "$(nproc)" -ge 2 ]; then
   serial_start=$(date +%s%N)
-  CAE_BUDGET=smoke CAE_TRACE=0 CAE_NUM_THREADS=1 CAE_CELL_PARALLEL=0 \
-    CAE_RESULTS_DIR="$trace_tmp/scale_serial" \
-    cargo run --release --offline -p cae-bench --bin table02 >/dev/null
+  CAE_TRACE=0 CAE_NUM_THREADS=1 CAE_CELL_PARALLEL=0 cargo run --release --offline -- \
+    table table02 --budget smoke --out "$trace_tmp/scale_serial" >/dev/null
   serial_ns=$(( $(date +%s%N) - serial_start ))
   par_start=$(date +%s%N)
-  CAE_BUDGET=smoke CAE_TRACE=0 CAE_NUM_THREADS=2 CAE_CELL_PARALLEL=1 \
-    CAE_RESULTS_DIR="$trace_tmp/scale_2t" \
-    cargo run --release --offline -p cae-bench --bin table02 >/dev/null
+  CAE_TRACE=0 CAE_NUM_THREADS=2 CAE_CELL_PARALLEL=1 cargo run --release --offline -- \
+    table table02 --budget smoke --out "$trace_tmp/scale_2t" >/dev/null
   par_ns=$(( $(date +%s%N) - par_start ))
   cmp "$trace_tmp/scale_serial/table_ii.json" "$trace_tmp/scale_2t/table_ii.json"
   # Sanity, not a benchmark: allow 10% noise headroom, but a 2-thread run

@@ -3,7 +3,7 @@
 //! Hand-rolled (no external parser dependency): `--key value` flags after a
 //! subcommand, with typed accessors and helpful errors.
 
-use cae_core::config::ExperimentBudget;
+use cae_core::config::{Config, ExperimentBudget};
 use cae_core::method::MethodSpec;
 use cae_data::presets::ClassificationPreset;
 use cae_nn::infer::FreezeOptions;
@@ -11,6 +11,7 @@ use cae_nn::models::Arch;
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
+use std::path::PathBuf;
 
 /// A parsed command line: subcommand, up to two leading positional
 /// arguments (`cae-dfkd profile table02`,
@@ -134,7 +135,7 @@ impl Command {
         parse_arch(self.str_or(key, default))
     }
 
-    /// Budget option (default `fast`).
+    /// Budget option with the default `fast` (see [`Command::budget_or`]).
     ///
     /// # Errors
     /// Returns an error for unknown budget names.
@@ -142,16 +143,31 @@ impl Command {
         self.budget_or("fast")
     }
 
-    /// Budget option with a caller-chosen default (`profile`/`health`
-    /// default to `smoke`: they exist to inspect a run, not to reproduce
-    /// paper numbers).
+    /// The budget preset: `--budget`, else `CAE_BUDGET`, else the
+    /// subcommand's `default` (`profile`/`health` default to `smoke`: they
+    /// exist to inspect a run, not to reproduce paper numbers).
     ///
     /// # Errors
-    /// Returns an error for unknown budget names.
+    /// Returns an error for unknown budget names, from either source.
     pub fn budget_or(&self, default: &str) -> Result<ExperimentBudget, ParseArgsError> {
-        let name = self.str_or("budget", default);
+        let name = self
+            .options
+            .get("budget")
+            .or(Config::get().budget.as_ref())
+            .map_or(default, String::as_str);
         ExperimentBudget::from_name(name)
             .ok_or_else(|| err(format!("unknown budget '{name}' (smoke|fast|full)")))
+    }
+
+    /// Where `table` writes its artifacts: `--out`, else `CAE_RESULTS_DIR`,
+    /// else `results`.
+    pub fn results_dir(&self) -> PathBuf {
+        let dir = self
+            .options
+            .get("out")
+            .or(Config::get().results_dir.as_ref())
+            .map_or("results", String::as_str);
+        PathBuf::from(dir)
     }
 
     /// The experiment id for id-taking subcommands: the positional argument
@@ -254,7 +270,7 @@ USAGE:
   cae-dfkd serve-bench [--requests 400] [--clients 4] [--max-batch N] [--max-latency-us N]
                     [--mode exact|fused|int8] [--weights FILE.json] [--log LOG.txt]
                     [--arch resnet18] [--dataset c10] [--budget smoke|fast|full]
-  cae-dfkd table    <id> [--budget smoke|fast|full] [--out results]
+  cae-dfkd table    <id>|all [--budget smoke|fast|full] [--out results]
   cae-dfkd profile  <id> [--budget smoke|fast|full] [--out .]
   cae-dfkd profile  --trace trace_table_ii.jsonl [--out .]
   cae-dfkd metrics  <id> [--budget smoke|fast|full] [--out .] [--dup DIR]
@@ -267,6 +283,11 @@ USAGE:
 `table` runs one registered experiment by id (see `list` for the ids) and
 writes its JSON artifact under --out. Set CAE_TRACE=1 to also write the
 run's trace (trace_<stem>.jsonl + TRACE_<stem>.json) next to the report.
+`table all` runs every table and figure the paper reports, in paper order:
+it skips an experiment whose report under --out already parses (set
+CAE_RESUME=0 to re-run it), continues past a failed experiment, and exits
+non-zero listing the failures. A flag beats its environment variable:
+--budget beats CAE_BUDGET and --out beats CAE_RESULTS_DIR.
 Id-taking subcommands accept the id positionally or as --id.
 
 `profile` runs the experiment with tracing forced on (serial cells, so the

@@ -6,7 +6,8 @@
 //!                  --method cae --n 4 --budget fast --save student.json
 //! cae-dfkd evaluate --weights student.json --dataset c100 --arch resnet18
 //! cae-dfkd transfer --weights student.json --task nyu --arch resnet18
-//! cae-dfkd table --id table02 --budget smoke
+//! cae-dfkd table table02 --budget smoke
+//! cae-dfkd table all --budget full
 //! ```
 
 use cae_dfkd::cli::{parse_freeze_mode, Command, HELP};
@@ -14,12 +15,14 @@ use cae_dfkd::core::config::Config;
 use cae_dfkd::core::experiments;
 use cae_dfkd::core::metrics::classification::top1_accuracy;
 use cae_dfkd::core::pipeline::run_dfkd;
+use cae_dfkd::core::report::Report;
 use cae_dfkd::core::transfer::{transfer_evaluate, TaskSet};
 use cae_dfkd::data::dense::DensePreset;
 use cae_dfkd::nn::serialize;
 use cae_dfkd::serve::{prediction_log, run_closed_loop, run_open_loop, RequestTrace, ServeOptions};
 use cae_dfkd::tensor::rng::TensorRng;
 use std::error::Error;
+use std::path::Path;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -86,22 +89,63 @@ fn entry_by_id(id: &str) -> Result<&'static experiments::ExperimentEntry, Box<dy
         })
 }
 
+/// `cae-dfkd table <id>|all`: run one registered experiment, or every
+/// paper experiment, and write the reports under the results directory.
 fn table(cmd: &Command) -> Result<(), Box<dyn Error + Send + Sync>> {
     let id = cmd.id_arg()?;
     let budget = cmd.budget()?;
-    let Some(outcome) = experiments::run_by_id(id, &budget) else {
-        let known: Vec<&str> = experiments::registry().iter().map(|e| e.id).collect();
-        return Err(format!("unknown experiment '{id}' (known: {})", known.join("|")).into());
-    };
-    let report = outcome?;
+    let out = cmd.results_dir();
+    if id != "all" {
+        let report = entry_by_id(id)?.run(&budget)?;
+        return save_table(&report, &out);
+    }
+
+    // Paper order, resumable and fault-isolated: a parseable artifact from
+    // an earlier run is kept, and one failed experiment does not stop the
+    // sweep.
+    let mut failures = Vec::new();
+    for entry in experiments::registry().iter().filter(|e| e.in_paper) {
+        if Config::get().resume {
+            if let Some(path) = entry.completed_artifact_in(&out) {
+                eprintln!(
+                    ">>> {}: already completed ({}), skipping (CAE_RESUME=0 to re-run)",
+                    entry.id,
+                    path.display()
+                );
+                continue;
+            }
+        }
+        eprintln!(">>> running {} ...", entry.id);
+        match entry.run(&budget) {
+            Ok(report) => save_table(&report, &out)?,
+            Err(e) => {
+                eprintln!(">>> {e}; continuing with the remaining tables\n");
+                failures.push(e.to_string());
+            }
+        }
+    }
+    if failures.is_empty() {
+        return Ok(());
+    }
+    Err(format!(
+        "{} experiment(s) failed:\n  {}",
+        failures.len(),
+        failures.join("\n  ")
+    )
+    .into())
+}
+
+/// Prints a table report and writes its JSON artifact under `out`; when
+/// tracing is on, also drains the trace the run recorded and writes
+/// `trace_<stem>.jsonl` + `TRACE_<stem>.json` next to it.
+fn save_table(report: &Report, out: &Path) -> Result<(), Box<dyn Error + Send + Sync>> {
     println!("{report}");
-    let out = std::path::PathBuf::from(cmd.str_or("out", "results"));
-    let path = report.save_json(&out)?;
+    let path = report.save_json(out)?;
     println!("saved: {}", path.display());
     if cae_dfkd::trace::enabled() {
         let trace = cae_dfkd::trace::drain();
         if !trace.is_empty() {
-            let (jsonl, summary) = trace.save(&out, &report.file_stem())?;
+            let (jsonl, summary) = trace.save(out, &report.file_stem())?;
             println!("trace: {} + {}", jsonl.display(), summary.display());
         }
     }
