@@ -86,10 +86,6 @@ const P99_CAP_US: u64 = 3 * 12_715;
 const INT8_DELTA_CAP_PTS: f64 = 1.0;
 
 fn main() {
-    // Phase histograms are the source of the per-request latency
-    // decomposition printed for every run below; recording costs two
-    // relaxed atomic adds per phase sample.
-    cae_trace::metrics::force_enabled(true);
     let budget = budget_from_env(DEFAULT_BUDGET);
     let requests = REQUESTS;
     let preset = ClassificationPreset::C10Sim;
@@ -137,9 +133,7 @@ fn main() {
         sequential.latency_percentile_us(0.5),
         sequential.latency_percentile_us(0.99)
     );
-    if let Some(phases) = sequential.phase_summary() {
-        println!("    phases: {phases}");
-    }
+    println!("    phases: {}", sequential.phase_summary());
 
     let mut best: Option<(&BatchConfig, RunResult)> = None;
     for config in &CONFIGS {
@@ -161,9 +155,7 @@ fn main() {
             run.latency_percentile_us(0.99),
             run.mean_batch()
         );
-        if let Some(phases) = run.phase_summary() {
-            println!("    phases: {phases}");
-        }
+        println!("    phases: {}", run.phase_summary());
         let better = best
             .as_ref()
             .is_none_or(|(_, b)| run.throughput_rps() > b.throughput_rps());

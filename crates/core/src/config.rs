@@ -190,7 +190,7 @@ pub struct ConfigEntry {
 /// and `cae-serve`.
 ///
 /// Every knob is read through the [`cae_trace::knob`] grammar. Knobs owned
-/// by a lower crate (`CAE_SIMD`, `CAE_NUM_THREADS`, `CAE_TRACE*`,
+/// by a lower crate (`CAE_SIMD`, `CAE_NUM_THREADS`, `CAE_TRACE`,
 /// `CAE_METRICS_INTERVAL_MS`) are not mirrored here: each is parsed once by
 /// its owning accessor, and [`Config::render`] reports what those accessors
 /// resolved. Fields are parsed on the first [`Config::get`] call; later
@@ -202,9 +202,6 @@ pub struct ConfigEntry {
 /// `cae_trace::force_enabled`) instead of mutating the environment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Config {
-    /// Per-cell kernel thread budget override (`CAE_CELL_THREAD_BUDGET`);
-    /// `None` derives `ceil(pool / cells)` at run time.
-    pub cell_thread_budget: Option<usize>,
     /// Cell-level experiment parallelism (`CAE_CELL_PARALLEL`).
     pub cell_parallel: bool,
     /// Failed-cell retry count (`CAE_CELL_RETRIES`).
@@ -236,7 +233,6 @@ impl Config {
 
     fn from_env() -> Config {
         Config {
-            cell_thread_budget: knob::positive("CAE_CELL_THREAD_BUDGET"),
             cell_parallel: !knob::off("CAE_CELL_PARALLEL"),
             cell_retries: knob::raw("CAE_CELL_RETRIES")
                 .and_then(|v| v.trim().parse().ok())
@@ -259,12 +255,9 @@ impl Config {
         &[
             ConfigEntry { var: "CAE_SIMD", values: "`scalar`/`avx2`/`neon`", default: "auto-detect", doc: "SIMD backend for all f32 kernels; unsupported requests fall back to detection. All backends are bit-identical." },
             ConfigEntry { var: "CAE_NUM_THREADS", values: "integer ≥ 1", default: "all cores", doc: "Tensor-pool parallelism (kernel and cell levels share the pool cooperatively)." },
-            ConfigEntry { var: "CAE_TRACE", values: "bool (`1`/`true`/`on`/`yes` enable)", default: "off", doc: "In-process tracing: spans, counters, gauges, series." },
-            ConfigEntry { var: "CAE_TRACE_MAX_EVENTS", values: "integer ≥ 1", default: "65536", doc: "Per-thread span/counter event cap; excess is dropped and flagged." },
-            ConfigEntry { var: "CAE_TRACE_SERIES_CAP", values: "integer ≥ 1", default: "65536", doc: "Per-thread series event cap." },
-            ConfigEntry { var: "CAE_METRICS_INTERVAL_MS", values: "integer ≥ 1", default: "off", doc: "Periodic in-process metrics exporter: snapshot the latency histograms to `METRICS_*.json`/`metrics_*.prom` every N ms (also turns metric recording on)." },
+            ConfigEntry { var: "CAE_TRACE", values: "bool (`1`/`true`/`on`/`yes` enable)", default: "off", doc: "The one telemetry switch: spans, counters, gauges, series and latency histograms." },
+            ConfigEntry { var: "CAE_METRICS_INTERVAL_MS", values: "integer ≥ 1", default: "off", doc: "Period of the live metrics exporter `cae-dfkd serve-bench` starts: rewrites `METRICS_serve.json`/`metrics_serve.prom` every N ms (a running exporter turns telemetry on)." },
             ConfigEntry { var: "CAE_CELL_PARALLEL", values: "bool (off-tokens disable)", default: "on", doc: "Fan experiment cells out across the pool; off runs cells serially with kernel parallelism inside each." },
-            ConfigEntry { var: "CAE_CELL_THREAD_BUDGET", values: "integer ≥ 1", default: "ceil(pool / cells)", doc: "Pool threads each parallel cell's kernels may recruit; the default gives surplus workers to cells when cells are scarcer than threads." },
             ConfigEntry { var: "CAE_CELL_RETRIES", values: "integer ≥ 0", default: "0", doc: "Re-runs of a panicked cell (identical derived seed, so recovery is byte-identical)." },
             ConfigEntry { var: "CAE_FAULT_INJECT", values: "`<prob>:<seed>`", default: "off", doc: "Deterministic panic injection at cell-attempt entry, for testing the recovery path." },
             ConfigEntry { var: "CAE_BUDGET", values: "`smoke`/`fast`/`full`", default: "per command", doc: "Experiment budget preset for `cae-dfkd` subcommands (`--budget` beats it) and the bench bins." },
@@ -299,19 +292,12 @@ impl Config {
             ("CAE_SIMD", cae_tensor::simd::active_backend().name().to_owned()),
             ("CAE_NUM_THREADS", cae_tensor::pool::max_parallelism().to_string()),
             ("CAE_TRACE", cae_trace::enabled().to_string()),
-            ("CAE_TRACE_MAX_EVENTS", cae_trace::event_cap().to_string()),
-            ("CAE_TRACE_SERIES_CAP", cae_trace::series_cap().to_string()),
             (
                 "CAE_METRICS_INTERVAL_MS",
                 cae_trace::metrics::interval_ms()
                     .map_or_else(|| "<unset>".to_owned(), |n| n.to_string()),
             ),
             ("CAE_CELL_PARALLEL", self.cell_parallel.to_string()),
-            (
-                "CAE_CELL_THREAD_BUDGET",
-                self.cell_thread_budget
-                    .map_or_else(|| "<auto>".to_owned(), |n| n.to_string()),
-            ),
             ("CAE_CELL_RETRIES", self.cell_retries.to_string()),
             (
                 "CAE_FAULT_INJECT",

@@ -8,11 +8,10 @@
 //!
 //! Composition with kernel-level parallelism is cooperative: cells are
 //! submitted with [`cae_tensor::pool::JobOpts::cell`] and a per-cell
-//! **thread budget** of `ceil(pool_threads / cells)` (overridable via
-//! `CAE_CELL_THREAD_BUDGET`), so when cells outnumber threads every core
-//! runs a distinct cell with its kernels inline, and when threads
-//! outnumber cells the surplus workers fan out *inside* the cells'
-//! kernels instead of idling. A serial run (one cell,
+//! **thread budget** of `ceil(pool_threads / cells)`, so when cells
+//! outnumber threads every core runs a distinct cell with its kernels
+//! inline, and when threads outnumber cells the surplus workers fan out
+//! *inside* the cells' kernels instead of idling. A serial run (one cell,
 //! `CAE_CELL_PARALLEL=0`, or a single-core host) spends every thread
 //! inside each cell's kernels.
 //!
@@ -280,7 +279,8 @@ where
         return (0..n).map(cell).collect();
     }
     let results: Vec<Mutex<Option<Result<T, CellError>>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    pool::parallel_for_with(pool::JobOpts::cell(cell_thread_budget(n)), n, |i| {
+    let budget = cell_thread_budget(pool::max_parallelism(), n);
+    pool::parallel_for_with(pool::JobOpts::cell(budget), n, |i| {
         let out = cell(i);
         *results[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(out);
     });
@@ -297,19 +297,11 @@ where
         .collect()
 }
 
-/// The thread budget each parallel cell's kernels may use: an explicit
-/// `CAE_CELL_THREAD_BUDGET` wins, otherwise `ceil(pool / cells)` — 1 when
-/// cells saturate the pool (kernels degrade inline, the old behavior), more
-/// when cells are scarcer than threads so surplus workers help inside the
-/// cells instead of idling.
-fn cell_thread_budget(n_cells: usize) -> usize {
-    crate::config::Config::get()
-        .cell_thread_budget
-        .unwrap_or_else(|| auto_cell_budget(pool::max_parallelism(), n_cells))
-}
-
-/// The derived per-cell budget for a pool of `threads` running `n_cells`.
-pub(crate) fn auto_cell_budget(threads: usize, n_cells: usize) -> usize {
+/// The thread budget each parallel cell's kernels may use in a pool of
+/// `threads` running `n_cells`: `ceil(threads / cells)` — 1 when cells
+/// saturate the pool (kernels degrade inline), more when cells are scarcer
+/// than threads so surplus workers help inside the cells instead of idling.
+fn cell_thread_budget(threads: usize, n_cells: usize) -> usize {
     threads.div_ceil(n_cells.max(1)).max(1)
 }
 
@@ -347,17 +339,17 @@ mod tests {
     use cae_tensor::rng::TensorRng;
 
     #[test]
-    fn auto_cell_budget_splits_the_pool_ceil_wise() {
+    fn cell_thread_budget_splits_the_pool_ceil_wise() {
         // Cells saturate the pool: kernels inline (budget 1).
-        assert_eq!(auto_cell_budget(4, 4), 1);
-        assert_eq!(auto_cell_budget(4, 70), 1);
+        assert_eq!(cell_thread_budget(4, 4), 1);
+        assert_eq!(cell_thread_budget(4, 70), 1);
         // Threads outnumber cells: surplus workers help inside cells.
-        assert_eq!(auto_cell_budget(4, 2), 2);
-        assert_eq!(auto_cell_budget(4, 3), 2);
-        assert_eq!(auto_cell_budget(8, 3), 3);
+        assert_eq!(cell_thread_budget(4, 2), 2);
+        assert_eq!(cell_thread_budget(4, 3), 2);
+        assert_eq!(cell_thread_budget(8, 3), 3);
         // Degenerate inputs clamp sanely.
-        assert_eq!(auto_cell_budget(1, 5), 1);
-        assert_eq!(auto_cell_budget(4, 0), 4);
+        assert_eq!(cell_thread_budget(1, 5), 1);
+        assert_eq!(cell_thread_budget(4, 0), 4);
     }
 
     #[test]

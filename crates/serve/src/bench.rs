@@ -6,59 +6,23 @@
 //! subcommand, and the determinism integration test (same trace ⇒
 //! byte-identical [`prediction_log`] across batching configurations).
 
-use crate::server::{Prediction, ServeOptions, Server, Ticket};
+use crate::server::{PhaseBreakdown, Prediction, ServeOptions, Server, Ticket};
 use cae_nn::infer::FrozenClassifier;
 use cae_tensor::rng::TensorRng;
 use cae_tensor::Tensor;
-use cae_trace::metrics;
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
-/// The four per-request phases, in pipeline order, paired with their
-/// histogram names. The drivers read percentiles back out of these
-/// histograms — not out of the raw predictions — so the reported p50/p99
-/// are exactly what the live exposition layer would publish.
-pub const PHASE_HISTOGRAMS: [(&str, &str); 4] = [
-    ("queue_wait", "serve.phase.queue_wait"),
-    ("assembly", "serve.phase.assembly"),
-    ("forward", "serve.phase.forward"),
-    ("handoff", "serve.phase.handoff"),
+/// Reads one phase's µs off a [`PhaseBreakdown`].
+type Phase = fn(&PhaseBreakdown) -> u64;
+
+/// The four per-request phases, in pipeline order, with their accessors.
+const PHASES: [(&str, Phase); 4] = [
+    ("queue_wait", |p| p.queue_wait_us),
+    ("assembly", |p| p.assembly_us),
+    ("forward", |p| p.forward_us),
+    ("handoff", |p| p.handoff_us),
 ];
-
-/// Histogram-derived p50/p99 for one serve phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PhaseStats {
-    /// Short phase name (`queue_wait`, `assembly`, `forward`, `handoff`).
-    pub phase: &'static str,
-    /// Samples recorded (= requests served while metrics were on).
-    pub count: u64,
-    /// Median, µs (log2-bucket resolution).
-    pub p50_us: u64,
-    /// 99th percentile, µs (log2-bucket resolution).
-    pub p99_us: u64,
-}
-
-/// Reads the current `serve.phase.*` histogram contents as per-phase
-/// stats, pipeline order. Empty when metrics recording is disabled (the
-/// histograms then hold no samples).
-pub fn phase_stats_from_metrics() -> Vec<PhaseStats> {
-    let snap = metrics::snapshot();
-    PHASE_HISTOGRAMS
-        .iter()
-        .filter_map(|&(phase, hist_name)| {
-            let h = snap.histogram(hist_name)?;
-            if h.count == 0 {
-                return None;
-            }
-            Some(PhaseStats {
-                phase,
-                count: h.count,
-                p50_us: h.p50_ns() / 1_000,
-                p99_us: h.p99_ns() / 1_000,
-            })
-        })
-        .collect()
-}
 
 /// A reproducible sequence of single-image requests: request `i` is a
 /// pure function of `(seed, i)`, so every run over the same trace serves
@@ -100,9 +64,16 @@ pub struct RunResult {
     pub predictions: Vec<Prediction>,
     /// Wall-clock seconds from first submission to last completion.
     pub seconds: f64,
-    /// Histogram-derived per-phase p50/p99 for this run (the drivers
-    /// reset the histograms at start). Empty when metrics are disabled.
-    pub phases: Vec<PhaseStats>,
+}
+
+/// Nearest-rank percentile (`q` in `[0, 1]`) of `samples`; 0 when empty.
+fn percentile(mut samples: Vec<u64>, q: f64) -> u64 {
+    if samples.is_empty() {
+        return 0;
+    }
+    samples.sort_unstable();
+    let rank = ((samples.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
+    samples[rank]
 }
 
 impl RunResult {
@@ -114,13 +85,14 @@ impl RunResult {
     /// Latency percentile in µs over the server-measured per-request
     /// latencies (`q` in `[0, 1]`; nearest-rank on the sorted sample).
     pub fn latency_percentile_us(&self, q: f64) -> u64 {
-        let mut lat: Vec<u64> = self.predictions.iter().map(|p| p.latency_us).collect();
-        if lat.is_empty() {
-            return 0;
-        }
-        lat.sort_unstable();
-        let rank = ((lat.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
-        lat[rank]
+        percentile(self.predictions.iter().map(|p| p.latency_us).collect(), q)
+    }
+
+    /// Percentile in µs of one phase (`phase` reads it off a
+    /// [`PhaseBreakdown`]) over the per-request samples, by the same
+    /// nearest rank.
+    pub fn phase_percentile_us(&self, phase: Phase, q: f64) -> u64 {
+        percentile(self.predictions.iter().map(|p| phase(&p.phases)).collect(), q)
     }
 
     /// Mean served batch size.
@@ -132,19 +104,17 @@ impl RunResult {
         total as f64 / self.predictions.len() as f64
     }
 
-    /// One-line per-phase summary for console output, `None` when no
-    /// phase histograms were populated (metrics disabled).
-    pub fn phase_summary(&self) -> Option<String> {
-        if self.phases.is_empty() {
-            return None;
-        }
-        Some(
-            self.phases
-                .iter()
-                .map(|p| format!("{} p50 {}us p99 {}us", p.phase, p.p50_us, p.p99_us))
-                .collect::<Vec<String>>()
-                .join(" | "),
-        )
+    /// One-line per-phase p50/p99 summary for console output.
+    pub fn phase_summary(&self) -> String {
+        PHASES
+            .iter()
+            .map(|&(name, phase)| {
+                let p50 = self.phase_percentile_us(phase, 0.5);
+                let p99 = self.phase_percentile_us(phase, 0.99);
+                format!("{name} p50 {p50}us p99 {p99}us")
+            })
+            .collect::<Vec<String>>()
+            .join(" | ")
     }
 }
 
@@ -158,9 +128,6 @@ fn sorted_by_id(mut predictions: Vec<Prediction>) -> Vec<Prediction> {
 /// batched-speedup acceptance gate compares against — it pays the full
 /// queue/handoff overhead per request and can never batch.
 pub fn run_closed_loop(model: FrozenClassifier, opts: ServeOptions, trace: &RequestTrace) -> RunResult {
-    // Per-run phase percentiles: clear whatever a previous run left in
-    // the (process-cumulative) histograms.
-    metrics::reset();
     let server = Server::start(model, opts);
     let started = Instant::now();
     let predictions = (0..trace.len())
@@ -168,11 +135,7 @@ pub fn run_closed_loop(model: FrozenClassifier, opts: ServeOptions, trace: &Requ
         .collect();
     let seconds = started.elapsed().as_secs_f64();
     server.shutdown();
-    RunResult {
-        predictions: sorted_by_id(predictions),
-        seconds,
-        phases: phase_stats_from_metrics(),
-    }
+    RunResult { predictions: sorted_by_id(predictions), seconds }
 }
 
 /// Open-loop driver: `clients` concurrent submitters flood the queue
@@ -186,7 +149,6 @@ pub fn run_open_loop(
     clients: usize,
 ) -> RunResult {
     assert!(clients >= 1, "at least one client required");
-    metrics::reset();
     let server = Server::start(model, opts);
     let collected: Mutex<Vec<Prediction>> = Mutex::new(Vec::with_capacity(trace.len()));
     let started = Instant::now();
@@ -210,11 +172,7 @@ pub fn run_open_loop(
     let seconds = started.elapsed().as_secs_f64();
     server.shutdown();
     let predictions = collected.into_inner().unwrap_or_else(PoisonError::into_inner);
-    RunResult {
-        predictions: sorted_by_id(predictions),
-        seconds,
-        phases: phase_stats_from_metrics(),
-    }
+    RunResult { predictions: sorted_by_id(predictions), seconds }
 }
 
 /// Renders predictions as a byte-stable log: one `id argmax logit-bits…`
@@ -241,15 +199,6 @@ mod tests {
     use super::*;
     use cae_nn::infer::{Activation, FrozenOp};
 
-    /// Held by every test that calls `run_open_loop`/`run_closed_loop`:
-    /// both reset the process-wide phase histograms, so two overlapping
-    /// runs can clear each other's samples before they are read.
-    static SERVE_RUNS: Mutex<()> = Mutex::new(());
-
-    fn lock_serve_runs() -> std::sync::MutexGuard<'static, ()> {
-        SERVE_RUNS.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     fn tiny_model() -> FrozenClassifier {
         let n = 2 * 2 * 9;
         let weight =
@@ -269,7 +218,6 @@ mod tests {
 
     #[test]
     fn open_and_closed_loop_serve_identical_predictions() {
-        let _runs = lock_serve_runs();
         let trace = RequestTrace::synthetic(24, 2, 5, 11);
         let closed = run_closed_loop(
             tiny_model(),
@@ -297,11 +245,7 @@ mod tests {
             batch_size: 1,
             phases: Default::default(),
         };
-        let run = RunResult {
-            predictions: (1..=100).map(mk).collect(),
-            seconds: 1.0,
-            phases: Vec::new(),
-        };
+        let run = RunResult { predictions: (1..=100).map(mk).collect(), seconds: 1.0 };
         assert_eq!(run.latency_percentile_us(0.0), 1);
         assert_eq!(run.latency_percentile_us(0.5), 51);
         assert_eq!(run.latency_percentile_us(0.99), 99);
@@ -310,39 +254,39 @@ mod tests {
     }
 
     #[test]
-    fn phase_stats_come_from_the_histograms() {
-        // Force metrics on for this run: the driver's phases must be the
-        // histogram-derived view, one entry per pipeline phase.
-        let _runs = lock_serve_runs();
-        metrics::force_enabled(true);
-        let trace = RequestTrace::synthetic(16, 2, 5, 23);
-        let run = run_open_loop(
-            tiny_model(),
-            ServeOptions::default().with_max_batch(4).with_max_latency_us(1000),
-            &trace,
-            2,
-        );
-        metrics::reset_to_env();
-        // Other tests' servers may still record into the shared
-        // histograms, so require presence and ordering rather than exact
-        // counts.
-        assert!(!run.phases.is_empty(), "metrics were on, phases must be populated");
-        let names: Vec<&str> = run.phases.iter().map(|p| p.phase).collect();
-        for name in &names {
-            assert!(
-                PHASE_HISTOGRAMS.iter().any(|(phase, _)| phase == name),
-                "unknown phase {name}"
-            );
+    fn phase_percentiles_are_order_statistics_of_the_samples() {
+        // Each request's phases add up to its latency, as the server
+        // stamps them, so no phase percentile can exceed the latency's.
+        let mk = |i: u64| {
+            let phases = PhaseBreakdown {
+                queue_wait_us: (i * 37) % 101,
+                assembly_us: i % 3,
+                forward_us: 80 + (i * 13) % 29,
+                handoff_us: (i * 7) % 5,
+            };
+            Prediction {
+                id: i,
+                argmax: 0,
+                logits: vec![0.0],
+                latency_us: PHASES.iter().map(|(_, phase)| phase(&phases)).sum(),
+                batch_size: 1,
+                phases,
+            }
+        };
+        let run = RunResult { predictions: (0..200).map(mk).collect(), seconds: 1.0 };
+        for &(name, phase) in &PHASES {
+            let mut samples: Vec<u64> = run.predictions.iter().map(|p| phase(&p.phases)).collect();
+            samples.sort_unstable();
+            for (q, rank) in [(0.5, 100), (0.99, 197)] {
+                let got = run.phase_percentile_us(phase, q);
+                assert_eq!(got, samples[rank], "{name} at q={q}");
+                let latency = run.latency_percentile_us(q);
+                assert!(got <= latency, "{name} at q={q}: {got}us exceeds the latency's {latency}us");
+            }
         }
-        for p in &run.phases {
-            assert!(p.p50_us <= p.p99_us, "p50 must not exceed p99");
-        }
-        let summary = run.phase_summary().expect("phases present");
-        assert!(summary.contains("p50"));
-        assert!(summary.contains("p99"));
-        // Disabled metrics ⇒ empty phases ⇒ no summary line.
-        let empty = RunResult { predictions: Vec::new(), seconds: 1.0, phases: Vec::new() };
-        assert!(empty.phase_summary().is_none());
+        let summary = run.phase_summary();
+        assert!(summary.starts_with("queue_wait p50 "), "{summary}");
+        assert_eq!(summary.matches(" p99 ").count(), 4, "{summary}");
     }
 
     #[test]

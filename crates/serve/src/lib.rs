@@ -28,16 +28,14 @@
 //!
 //! Every prediction carries a [`PhaseBreakdown`] decomposing its
 //! server-side latency into queue-wait, batch-assembly, forward and
-//! completion-handoff; when metrics recording is on
-//! ([`cae_trace::metrics`]) the same durations feed the lock-free
-//! `serve.phase.*` histograms, from which the bench harnesses derive
-//! per-phase p50/p99 ([`bench::PhaseStats`]).
+//! completion-handoff, which add up to the latency exactly. The bench
+//! harnesses take per-phase p50/p99 from these samples
+//! ([`RunResult::phase_percentile_us`]); when telemetry is on (`CAE_TRACE`)
+//! the same durations also feed the lock-free `serve.phase.*` histograms
+//! ([`cae_trace::metrics`]), the live exporter's view.
 
 pub mod bench;
 pub mod server;
 
-pub use bench::{
-    phase_stats_from_metrics, prediction_log, run_closed_loop, run_open_loop, PhaseStats,
-    RequestTrace, RunResult, PHASE_HISTOGRAMS,
-};
+pub use bench::{prediction_log, run_closed_loop, run_open_loop, RequestTrace, RunResult};
 pub use server::{PhaseBreakdown, Prediction, ServeOptions, ServeSummary, Server, Ticket};

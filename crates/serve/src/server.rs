@@ -93,9 +93,12 @@ impl ServeOptions {
 
 /// Where one request's server-side latency went, phase by phase. Carried
 /// on every [`Prediction`] (the timestamps are free — the worker already
-/// holds them) so bench harnesses can report per-phase percentiles even
-/// with metrics recording off; when metrics are on the same durations
-/// also land in the `serve.phase.*` histograms for live exposition.
+/// holds them); the bench harnesses take their per-phase percentiles from
+/// these samples. Each phase is the difference of two whole-µs offsets from
+/// the enqueue instant, so the four phases add up to
+/// [`Prediction::latency_us`] exactly. When telemetry is on (`CAE_TRACE`)
+/// the same intervals, in ns, also land in the `serve.phase.*` histograms
+/// for the live exporter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PhaseBreakdown {
     /// Enqueue until the dispatching worker drained this request.
@@ -372,26 +375,32 @@ fn worker_loop(shared: &Shared) {
                 .max_by(|a, b| a.1.total_cmp(b.1))
                 .map(|(i, _)| i)
                 .expect("logits row is non-empty");
-            let queue_wait_ns = drained_at.duration_since(pending.enqueued).as_nanos() as u64;
-            // Handoff ends here, just before the slot fills: the row
-            // extraction and argmax above are this request's share of
+            // Latency and handoff end here, just before the slot fills: the
+            // row extraction and argmax above are this request's share of
             // completion work.
-            let handoff_ns = forward_end.elapsed().as_nanos() as u64;
-            shared.phase_hists.queue_wait.record_ns(queue_wait_ns);
-            shared.phase_hists.assembly.record_ns(assembly_ns);
-            shared.phase_hists.forward.record_ns(forward_ns);
-            shared.phase_hists.handoff.record_ns(handoff_ns);
+            let filled = Instant::now();
+            let hists = &shared.phase_hists;
+            let queue_wait_ns = drained_at.duration_since(pending.enqueued).as_nanos() as u64;
+            hists.queue_wait.record_ns(queue_wait_ns);
+            hists.assembly.record_ns(assembly_ns);
+            hists.forward.record_ns(forward_ns);
+            hists.handoff.record_ns(filled.duration_since(forward_end).as_nanos() as u64);
+            // Whole-µs offsets from enqueue; flooring is monotonic, so their
+            // differences are non-negative and sum to the latency exactly.
+            let offset_us = |t: Instant| t.duration_since(pending.enqueued).as_micros() as u64;
+            let [drained_us, forward_start_us, forward_end_us, latency_us] =
+                [drained_at, forward_start, forward_end, filled].map(offset_us);
             let prediction = Prediction {
                 id: pending.id,
                 argmax,
                 logits: row_logits,
-                latency_us: forward_end.duration_since(pending.enqueued).as_micros() as u64,
+                latency_us,
                 batch_size: batch.len(),
                 phases: PhaseBreakdown {
-                    queue_wait_us: queue_wait_ns / 1_000,
-                    assembly_us: assembly_ns / 1_000,
-                    forward_us: forward_ns / 1_000,
-                    handoff_us: handoff_ns / 1_000,
+                    queue_wait_us: drained_us,
+                    assembly_us: forward_start_us - drained_us,
+                    forward_us: forward_end_us - forward_start_us,
+                    handoff_us: latency_us - forward_end_us,
                 },
             };
             let mut ready = pending
@@ -529,14 +538,11 @@ mod tests {
         for t in tickets {
             let p = t.wait();
             let ph = p.phases;
-            // Phases partition enqueue→fulfillment, so their sum can't
-            // exceed the end-to-end latency by more than handoff (which
-            // extends past the latency stamp) plus rounding.
-            let partial = ph.queue_wait_us + ph.assembly_us + ph.forward_us;
-            assert!(
-                partial <= p.latency_us + 4,
-                "queue+assembly+forward ({partial}us) exceeds total latency ({}us)",
-                p.latency_us
+            // The phases partition enqueue→slot fill exactly.
+            assert_eq!(
+                ph.queue_wait_us + ph.assembly_us + ph.forward_us + ph.handoff_us,
+                p.latency_us,
+                "{ph:?} must add up to the latency"
             );
         }
         server.shutdown();

@@ -85,11 +85,10 @@ mod tests {
         // `CAE_NUM_THREADS=" 2"`: the pool and the config report agree
         // because both read the trimmed value.
         assert_eq!(parse_positive(" 2"), Some(2));
-        // `CAE_TRACE_SERIES_CAP=0` is not a cap of zero (which would drop
-        // every series point) but invalid, so the default applies.
+        // `CAE_SERVE_MAX_BATCH=0` is not a batch of zero (which could never
+        // dispatch) but invalid, so the default applies.
         assert_eq!(parse_positive("0"), None);
-        // An unparsable `CAE_TRACE_MAX_EVENTS` reads as unset, so it
-        // neither sets the cap nor pins it against `raise_event_cap`.
+        // An unparsable value reads as unset, so the default applies.
         for bad in ["", "-1", "1.5", "x", "2 3", "0x10"] {
             assert_eq!(parse_positive(bad), None, "{bad:?}");
         }

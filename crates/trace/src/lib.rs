@@ -25,9 +25,9 @@
 //!   They nest per thread: a span opened while another span on the same
 //!   thread is active records it as its parent, giving a per-thread tree.
 //!   Spans carry static names plus optional tags (e.g. a cell index and
-//!   its RNG seed). Raw span events are capped per thread
-//!   (`CAE_TRACE_MAX_EVENTS`, default 65536); overflow is counted, and
-//!   aggregated per-name statistics are always exact.
+//!   its RNG seed). Raw span events are capped at 65 536 per thread
+//!   (the profiler raises the cap); overflow is counted, and aggregated
+//!   per-name statistics are always exact.
 //! * **Counters** ([`counter`], [`counters`]) accumulate monotonically
 //!   (GEMM calls, FLOPs, cache hits).
 //! * **Gauges** ([`gauge`]) sample a scalar (pool task count per job);
@@ -38,8 +38,8 @@
 //!   kernel), where raw events would instantly exhaust the per-thread cap.
 //! * **Series** ([`series`]) record `(step, value)` training curves
 //!   (student/generator losses) with the same thread-local buffering and
-//!   disabled-path relaxed-load gate as spans; raw points are capped per
-//!   thread (`CAE_TRACE_SERIES_CAP`, default 65536) with overflow counted.
+//!   disabled-path relaxed-load gate as spans; raw points are capped at
+//!   65 536 per thread with overflow counted.
 //!   The [`health`] module analyses drained series for NaN/Inf, divergence
 //!   and plateaus; the [`profile`] module reconstructs span trees into
 //!   self-time profiles and flamegraph-folded stacks.
@@ -47,9 +47,10 @@
 //! ## Enabling
 //!
 //! Reads `CAE_TRACE` once on first use through the [`knob`] grammar's
-//! opt-in rule: `1`, `true`, `on` or `yes` enable tracing. Tests and
-//! benchmarks can override with [`force_enabled`] and return to the
-//! environment's setting with [`reset_to_env`].
+//! opt-in rule: `1`, `true`, `on` or `yes` enable tracing. [`enabled`] is
+//! the only telemetry gate: the [`metrics`] histograms record through it
+//! too. Tests and benchmarks can override with [`force_enabled`] and
+//! return to the environment's setting with [`reset_to_env`].
 //!
 //! ## Export
 //!
@@ -66,7 +67,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -80,17 +81,14 @@ const STATE_ON: u8 = 2;
 
 static STATE: AtomicU8 = AtomicU8::new(STATE_UNINIT);
 
+/// Latches the `CAE_TRACE` setting — unless a [`force_enabled`] override
+/// landed while the environment was being read, which must win (a plain
+/// store here would silently undo it).
 #[cold]
 fn init_from_env() -> bool {
-    latch(&STATE, knob::opt_in("CAE_TRACE"))
-}
-
-/// Latches an enablement state read from the environment — unless a
-/// [`force_enabled`]-style override landed while the environment was being
-/// read, which must win (a plain store here would silently undo it).
-pub(crate) fn latch(state: &AtomicU8, on: bool) -> bool {
+    let on = knob::opt_in("CAE_TRACE");
     let value = if on { STATE_ON } else { STATE_OFF };
-    match state.compare_exchange(STATE_UNINIT, value, Ordering::Relaxed, Ordering::Relaxed) {
+    match STATE.compare_exchange(STATE_UNINIT, value, Ordering::Relaxed, Ordering::Relaxed) {
         Ok(_) => on,
         Err(current) => current == STATE_ON,
     }
@@ -304,53 +302,15 @@ fn buffers() -> &'static Mutex<Vec<Arc<ThreadBuf>>> {
 /// Default per-thread cap for span events and for series points.
 const DEFAULT_CAP: usize = 65_536;
 
-// Caps start at 0 (= uninitialized) and latch the env value on first use;
-// `raise_event_cap` can overwrite before or after that, so the cap is a
-// plain atomic rather than a `OnceLock`.
-static MAX_EVENTS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+/// The per-thread span-event cap: [`DEFAULT_CAP`] until
+/// [`raise_event_cap`] raises it.
+static MAX_EVENTS: AtomicUsize = AtomicUsize::new(DEFAULT_CAP);
 
-/// The cap the user pinned with a valid `CAE_TRACE_MAX_EVENTS`, if any.
-fn pinned_event_cap() -> Option<usize> {
-    knob::positive("CAE_TRACE_MAX_EVENTS")
-}
-
-fn max_events_per_thread() -> usize {
-    match MAX_EVENTS.load(Ordering::Relaxed) {
-        0 => {
-            let n = pinned_event_cap().unwrap_or(DEFAULT_CAP);
-            MAX_EVENTS.store(n, Ordering::Relaxed);
-            n
-        }
-        n => n,
-    }
-}
-
-/// The effective per-thread span-event cap (`CAE_TRACE_MAX_EVENTS`,
-/// default 65 536), as consulted by the recording fast path.
-pub fn event_cap() -> usize {
-    max_events_per_thread()
-}
-
-/// Raises the per-thread span-event cap to at least `n` — unless the user
-/// pinned a cap explicitly via `CAE_TRACE_MAX_EVENTS`, which always wins.
+/// Raises the per-thread span-event cap to at least `n`; never lowers it.
 /// Used by the profiler, whose forced-on traces would otherwise truncate at
 /// the default cap.
 pub fn raise_event_cap(n: usize) {
-    if pinned_event_cap().is_some() {
-        return;
-    }
-    MAX_EVENTS.store(max_events_per_thread().max(n), Ordering::Relaxed);
-}
-
-fn series_cap_per_thread() -> usize {
-    static MAX: OnceLock<usize> = OnceLock::new();
-    *MAX.get_or_init(|| knob::positive("CAE_TRACE_SERIES_CAP").unwrap_or(DEFAULT_CAP))
-}
-
-/// The effective per-thread series-point cap (`CAE_TRACE_SERIES_CAP`,
-/// default 65 536).
-pub fn series_cap() -> usize {
-    series_cap_per_thread()
+    MAX_EVENTS.fetch_max(n, Ordering::Relaxed);
 }
 
 thread_local! {
@@ -423,9 +383,9 @@ pub fn gauge(name: &'static str, value: f64) {
 }
 
 /// Records one `(step, value)` point of the series `name` (a training
-/// curve). Points are buffered per thread up to `CAE_TRACE_SERIES_CAP`
-/// (default 65536); overflow is counted in [`Trace::dropped_series`]. A
-/// no-op (one relaxed atomic load) when tracing is disabled.
+/// curve). Points are buffered per thread up to 65 536; overflow is
+/// counted in [`Trace::dropped_series`]. A no-op (one relaxed atomic load)
+/// when tracing is disabled.
 #[inline]
 pub fn series(name: &'static str, step: u64, value: f64) {
     if !enabled() {
@@ -433,7 +393,7 @@ pub fn series(name: &'static str, step: u64, value: f64) {
     }
     BUF.with(|buf| {
         let mut inner = buf.inner.lock().expect("trace thread buffer poisoned");
-        if inner.series.len() < series_cap_per_thread() {
+        if inner.series.len() < DEFAULT_CAP {
             inner.series.push(SeriesEvent { name, step, value });
         } else {
             inner.dropped_series += 1;
@@ -628,7 +588,7 @@ impl Drop for SpanGuard {
                 .entry(active.name)
                 .or_default()
                 .record(dur_ns);
-            if inner.spans.len() < max_events_per_thread() {
+            if inner.spans.len() < MAX_EVENTS.load(Ordering::Relaxed) {
                 let thread = buf.thread;
                 inner.spans.push(SpanEvent {
                     name: active.name,
@@ -665,7 +625,7 @@ pub struct Trace {
     pub gauges: BTreeMap<&'static str, GaugeStat>,
     /// Per-name time series, merged across threads and sorted by step.
     pub series: BTreeMap<&'static str, Vec<SeriesPoint>>,
-    /// Series points dropped to the per-thread cap (`CAE_TRACE_SERIES_CAP`).
+    /// Series points dropped to the per-thread cap.
     pub dropped_series: u64,
 }
 
@@ -929,13 +889,13 @@ mod tests {
 
     #[test]
     fn event_cap_raises_but_never_lowers() {
-        let before = event_cap();
-        assert!(before > 0, "cap must have a positive default");
+        let cap = || MAX_EVENTS.load(Ordering::Relaxed);
+        let before = cap();
+        assert!(before >= DEFAULT_CAP, "cap starts at the default");
         raise_event_cap(before + 1024);
-        assert!(event_cap() >= before + 1024);
+        assert!(cap() >= before + 1024);
         raise_event_cap(1);
-        assert!(event_cap() >= before + 1024, "raise_event_cap never lowers");
-        assert!(series_cap() > 0);
+        assert!(cap() >= before + 1024, "raise_event_cap never lowers");
     }
 
     #[test]

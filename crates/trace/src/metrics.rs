@@ -32,60 +32,30 @@
 //!
 //! ## Enablement
 //!
-//! [`enabled`] is the same one-relaxed-load gate as tracing: recording is
-//! on when `CAE_TRACE` is on **or** `CAE_METRICS_INTERVAL_MS` is set (a
-//! configured exporter implies the operator wants live numbers without
-//! paying for full span traces). [`force_enabled`] / [`reset_to_env`]
-//! mirror the crate-root test hooks.
+//! There is one telemetry gate: the crate-root [`crate::enabled`]
+//! (`CAE_TRACE`). Histograms record through it exactly like spans,
+//! counters and gauges. `CAE_METRICS_INTERVAL_MS` only sets the exporter
+//! period; starting an exporter turns the gate on, so an export carries
+//! histograms, counters and gauges alike.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use crate::{GaugeStat, STATE_OFF, STATE_ON, STATE_UNINIT};
+use crate::GaugeStat;
 
-// ---------------------------------------------------------------------------
-// Enablement
-// ---------------------------------------------------------------------------
-
-static STATE: AtomicU8 = AtomicU8::new(STATE_UNINIT);
+/// The crate-root gate overrides, kept at this path for callers that
+/// predate the single gate.
+pub use crate::{force_enabled, reset_to_env};
 
 /// The configured exporter interval: `CAE_METRICS_INTERVAL_MS` parsed once
 /// per process (`None` when unset, non-numeric, or zero).
 pub fn interval_ms() -> Option<u64> {
     static INTERVAL: OnceLock<Option<u64>> = OnceLock::new();
     *INTERVAL.get_or_init(|| crate::knob::positive("CAE_METRICS_INTERVAL_MS").map(|ms| ms as u64))
-}
-
-#[cold]
-fn init_from_env() -> bool {
-    crate::latch(&STATE, crate::knob::opt_in("CAE_TRACE") || interval_ms().is_some())
-}
-
-/// Whether histogram recording is enabled: one relaxed atomic load on the
-/// fast path. On first call, on when `CAE_TRACE` enables tracing or
-/// `CAE_METRICS_INTERVAL_MS` configures an exporter.
-#[inline]
-pub fn enabled() -> bool {
-    match STATE.load(Ordering::Relaxed) {
-        STATE_ON => true,
-        STATE_OFF => false,
-        _ => init_from_env(),
-    }
-}
-
-/// Overrides metrics enablement (tests, benches, the `metrics` and
-/// `serve-bench` subcommands). Pair with [`reset_to_env`].
-pub fn force_enabled(on: bool) {
-    STATE.store(if on { STATE_ON } else { STATE_OFF }, Ordering::Relaxed);
-}
-
-/// Restores metrics enablement to whatever the environment dictates.
-pub fn reset_to_env() {
-    STATE.store(STATE_UNINIT, Ordering::Relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -113,7 +83,7 @@ fn bucket_le(b: usize) -> u64 {
 
 /// A lock-free fixed-bucket log2 latency histogram. Obtain a `&'static`
 /// handle once via [`histogram`] and record durations from any thread;
-/// recording when metrics are disabled is a single relaxed load.
+/// recording when telemetry is disabled is a single relaxed load.
 pub struct Histogram {
     name: &'static str,
     buckets: [AtomicU64; BUCKETS],
@@ -137,10 +107,10 @@ impl Histogram {
     }
 
     /// Records one duration in nanoseconds. Relaxed atomics only; a no-op
-    /// (one relaxed load) when metrics are disabled.
+    /// (one relaxed load) when telemetry is disabled.
     #[inline]
     pub fn record_ns(&self, ns: u64) {
-        if !enabled() {
+        if !crate::enabled() {
             return;
         }
         self.buckets[bucket_index(ns)].fetch_add(1, Ordering::Relaxed);
@@ -151,7 +121,7 @@ impl Histogram {
     /// Records the elapsed time since `start`.
     #[inline]
     pub fn record_since(&self, start: Instant) {
-        if !enabled() {
+        if !crate::enabled() {
             return;
         }
         self.record_ns(start.elapsed().as_nanos() as u64);
@@ -447,8 +417,8 @@ impl Exporter {
 /// Starts the periodic exporter if `CAE_METRICS_INTERVAL_MS` is set:
 /// every interval it rewrites `METRICS_<stem>.json` / `metrics_<stem>.prom`
 /// under `dir`. Returns `None` (and starts nothing) when no interval is
-/// configured. Starting an exporter force-enables metrics recording for
-/// the process — an exporter over all-zero histograms is useless.
+/// configured. Starting an exporter force-enables the telemetry gate for
+/// the process — an exporter over empty aggregates is useless.
 pub fn start_exporter(dir: &Path, stem: &str) -> Option<Exporter> {
     let every = Duration::from_millis(interval_ms()?);
     Some(start_exporter_every(dir, stem, every))
@@ -457,7 +427,7 @@ pub fn start_exporter(dir: &Path, stem: &str) -> Option<Exporter> {
 /// [`start_exporter`] with an explicit interval, ignoring the environment
 /// (tests; harnesses that want an exporter unconditionally).
 pub fn start_exporter_every(dir: &Path, stem: &str, every: Duration) -> Exporter {
-    force_enabled(true);
+    crate::force_enabled(true);
     let stop = Arc::new((Mutex::new(false), Condvar::new()));
     let thread_stop = Arc::clone(&stop);
     let thread_dir = dir.to_path_buf();
@@ -492,10 +462,11 @@ pub fn start_exporter_every(dir: &Path, stem: &str, every: Duration) -> Exporter
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{force_enabled, reset_to_env};
 
-    /// Serializes tests that toggle the global metrics state or reset the
-    /// shared histogram registry (shared with the crate-root tests, which
-    /// toggle the trace gate this module's counter path reads through).
+    /// Serializes tests that toggle the telemetry gate or reset the shared
+    /// histogram registry (shared with the crate-root tests, which toggle
+    /// the same gate).
     fn lock() -> std::sync::MutexGuard<'static, ()> {
         crate::test_lock()
     }
@@ -626,8 +597,7 @@ mod tests {
     #[test]
     fn snapshot_includes_counters_and_gauges_without_draining() {
         let _l = lock();
-        // The counter/gauge aggregates go through the *trace* gate.
-        crate::force_enabled(true);
+        force_enabled(true);
         let _ = crate::drain();
         crate::counter("metrics.test.counter", 7);
         crate::gauge("metrics.test.gauge", 2.5);
@@ -640,28 +610,35 @@ mod tests {
         assert!(prom.contains("cae_metrics_test_gauge 2.5"));
         // Non-destructive: the later drain still sees everything.
         let t = crate::drain();
-        crate::force_enabled(false);
-        crate::reset_to_env();
+        force_enabled(false);
+        reset_to_env();
         assert_eq!(t.counters["metrics.test.counter"], 7);
     }
 
     #[test]
     fn exporter_writes_and_final_snapshot_lands_on_stop() {
         let _l = lock();
+        // Starting an exporter turns the one gate on, so the export carries
+        // gauges as well as histograms.
+        force_enabled(false);
+        let _ = crate::drain();
         let h = histogram("test.exporter");
         h.reset();
         let dir = std::env::temp_dir().join(format!("cae_metrics_test_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let exporter = start_exporter_every(&dir, "demo", Duration::from_millis(5));
         h.record_ns(4242);
+        crate::gauge("metrics.test.exported", 1.5);
         std::thread::sleep(Duration::from_millis(30));
         let (json, prom) = exporter.stop().expect("final export succeeds");
+        let _ = crate::drain();
         force_enabled(false);
         reset_to_env();
         assert!(json.ends_with("METRICS_demo.json") && json.exists());
         assert!(prom.ends_with("metrics_demo.prom") && prom.exists());
         let body = std::fs::read_to_string(&json).expect("readable");
         assert!(body.contains("\"test.exporter\": {\"count\": 1"));
+        assert!(body.contains("\"metrics.test.exported\": {\"count\": 1, \"last\": 1.5"), "{body}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

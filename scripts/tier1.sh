@@ -72,14 +72,16 @@ cargo run --release --offline -- profile table02 --budget smoke \
   --out "$trace_tmp/profile" | tee "$trace_tmp/profile_out.txt" >/dev/null
 test -s "$trace_tmp/profile/PROFILE_table02.txt"
 grep -q 'self-time coverage' "$trace_tmp/profile_out.txt"
-# Metrics smoke: metric recording (enabled here via the exporter-interval
-# knob) must not perturb results — the run must reproduce the untraced
-# report byte-for-byte — and the exposition must be byte-stable: two
-# snapshots of the same quiescent process render identical
-# METRICS_table02.json.
-CAE_TRACE=0 CAE_METRICS_INTERVAL_MS=200 cargo run --release --offline -- \
-  table table02 --budget smoke --out "$trace_tmp/metrics_on" >/dev/null
-cmp "$trace_tmp/off/table_ii.json" "$trace_tmp/metrics_on/table_ii.json"
+# Metrics smoke: the live exporter serve-bench starts under
+# CAE_METRICS_INTERVAL_MS turns telemetry on, so its export carries the
+# serve phase histograms and the queue gauges (it writes to ., hence the
+# temp dir) — and the exposition must be byte-stable: two snapshots of the
+# same quiescent process render identical METRICS_table02.json.
+manifest="$PWD/Cargo.toml"
+(cd "$trace_tmp" && CAE_METRICS_INTERVAL_MS=200 cargo run --release --offline \
+  --manifest-path "$manifest" -- serve-bench --budget smoke --requests 200 >/dev/null)
+grep -q '"serve.phase.forward": {"count"' "$trace_tmp/METRICS_serve.json"
+grep -q '"serve.queue_depth": {"count"' "$trace_tmp/METRICS_serve.json"
 cargo run --release --offline -- metrics table02 --budget smoke \
   --out "$trace_tmp/m1" --dup "$trace_tmp/m2" >/dev/null
 cmp "$trace_tmp/m1/METRICS_table02.json" "$trace_tmp/m2/METRICS_table02.json"

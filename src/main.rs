@@ -27,33 +27,44 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+    let cmd = match Command::parse(args) {
+        Ok(cmd) => cmd,
+        Err(e) => return usage_error(e),
+    };
+    match run(&cmd) {
+        None => usage_error(format!("unknown subcommand '{}'", cmd.name)),
+        Some(Ok(())) => ExitCode::SUCCESS,
+        Some(Err(e)) => {
             eprintln!("error: {e}");
-            eprintln!("{HELP}");
             ExitCode::FAILURE
         }
     }
 }
 
-fn run(args: Vec<String>) -> Result<(), Box<dyn Error + Send + Sync>> {
-    let cmd = Command::parse(args)?;
-    match cmd.name.as_str() {
+/// A command line that names no runnable subcommand: the error, then usage.
+fn usage_error(e: impl std::fmt::Display) -> ExitCode {
+    eprintln!("error: {e}");
+    eprintln!("{HELP}");
+    ExitCode::FAILURE
+}
+
+/// Runs one subcommand; `None` when `cmd` names none.
+fn run(cmd: &Command) -> Option<Result<(), Box<dyn Error + Send + Sync>>> {
+    Some(match cmd.name.as_str() {
         "help" | "--help" | "-h" => {
             println!("{HELP}");
             Ok(())
         }
-        "distill" => distill(&cmd),
-        "evaluate" => evaluate(&cmd),
-        "transfer" => transfer(&cmd),
-        "freeze" => freeze(&cmd),
-        "serve-bench" => serve_bench(&cmd),
-        "table" => table(&cmd),
-        "profile" => profile(&cmd),
-        "metrics" => metrics(&cmd),
-        "trace-diff" => trace_diff(&cmd),
-        "health" => health(&cmd),
+        "distill" => distill(cmd),
+        "evaluate" => evaluate(cmd),
+        "transfer" => transfer(cmd),
+        "freeze" => freeze(cmd),
+        "serve-bench" => serve_bench(cmd),
+        "table" => table(cmd),
+        "profile" => profile(cmd),
+        "metrics" => metrics(cmd),
+        "trace-diff" => trace_diff(cmd),
+        "health" => health(cmd),
         "config" => {
             print!("{}", Config::get().render());
             Ok(())
@@ -62,8 +73,8 @@ fn run(args: Vec<String>) -> Result<(), Box<dyn Error + Send + Sync>> {
             list();
             Ok(())
         }
-        other => Err(format!("unknown subcommand '{other}'").into()),
-    }
+        _ => return None,
+    })
 }
 
 fn list() {
@@ -194,18 +205,15 @@ fn profile(cmd: &Command) -> Result<(), Box<dyn Error + Send + Sync>> {
     Ok(())
 }
 
-/// `cae-dfkd metrics <id>`: run with metric recording forced on, print
-/// the Prometheus-style snapshot and export METRICS_<id>.json +
+/// `cae-dfkd metrics <id>`: run with telemetry forced on, print the
+/// Prometheus-style snapshot and export METRICS_<id>.json +
 /// metrics_<id>.prom.
 fn metrics(cmd: &Command) -> Result<(), Box<dyn Error + Send + Sync>> {
     let out = std::path::PathBuf::from(cmd.str_or("out", "."));
     let id = cmd.id_arg()?;
     let budget = cmd.budget_or("smoke")?;
     let entry = entry_by_id(id)?;
-    // Counters and gauges ride the trace buffers, so both gates go on;
-    // histograms additionally need the metrics gate.
     cae_dfkd::trace::force_enabled(true);
-    cae_dfkd::trace::metrics::force_enabled(true);
     cae_dfkd::trace::drain(); // observe this run only
     cae_dfkd::trace::metrics::reset();
     let run_outcome = entry.run(&budget);
@@ -219,7 +227,6 @@ fn metrics(cmd: &Command) -> Result<(), Box<dyn Error + Send + Sync>> {
         .get("dup")
         .map(|_| cae_dfkd::trace::metrics::snapshot());
     cae_dfkd::trace::drain();
-    cae_dfkd::trace::metrics::reset_to_env();
     cae_dfkd::trace::reset_to_env();
     run_outcome?;
 
@@ -377,10 +384,8 @@ fn serve_bench(cmd: &Command) -> Result<(), Box<dyn Error + Send + Sync>> {
         opts = opts.with_max_latency_us(cmd.u64_or("max-latency-us", 0)?);
     }
 
-    // Per-phase latency decomposition comes from the lock-free metrics
-    // histograms; force them on for the bench and export periodically if
-    // CAE_METRICS_INTERVAL_MS asks for it.
-    cae_dfkd::trace::metrics::force_enabled(true);
+    // Export live metrics periodically if CAE_METRICS_INTERVAL_MS asks for
+    // it; a running exporter turns telemetry on.
     let exporter = cae_dfkd::trace::metrics::start_exporter(std::path::Path::new("."), "serve");
 
     let trace = RequestTrace::synthetic(requests, 3, dataset.resolution(), budget.seed ^ 0x7e5e);
@@ -396,9 +401,7 @@ fn serve_bench(cmd: &Command) -> Result<(), Box<dyn Error + Send + Sync>> {
         sequential.latency_percentile_us(0.5),
         sequential.latency_percentile_us(0.99)
     );
-    if let Some(phases) = sequential.phase_summary() {
-        println!("  phases: {phases}");
-    }
+    println!("  phases: {}", sequential.phase_summary());
     println!("open loop ({clients} clients, max_batch {}, cutoff {}us) ...", opts.max_batch, opts.max_latency_us);
     let batched = run_open_loop(model.freeze_with(&freeze_opts), opts, &trace, clients);
     println!(
@@ -408,14 +411,11 @@ fn serve_bench(cmd: &Command) -> Result<(), Box<dyn Error + Send + Sync>> {
         batched.latency_percentile_us(0.99),
         batched.mean_batch()
     );
-    if let Some(phases) = batched.phase_summary() {
-        println!("  phases: {phases}");
-    }
+    println!("  phases: {}", batched.phase_summary());
     if let Some(exporter) = exporter {
         let (json, prom) = exporter.stop()?;
         println!("metrics export: {} + {}", json.display(), prom.display());
     }
-    cae_dfkd::trace::metrics::reset_to_env();
     let log = prediction_log(&batched.predictions);
     let identical = prediction_log(&sequential.predictions) == log;
     println!(

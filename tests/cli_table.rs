@@ -1,6 +1,6 @@
 //! `cae-dfkd table` as a process sees it: how the budget is resolved, how
-//! unknown ids are reported, and that `table all` resumes from completed
-//! artifacts. None of these cases trains anything.
+//! unknown ids and subcommands are reported, and that `table all` resumes
+//! from completed artifacts. None of these cases trains anything.
 
 use cae_dfkd::core::experiments;
 use cae_dfkd::core::report::Report;
@@ -40,6 +40,18 @@ fn the_budget_flag_beats_the_environment_and_continual_is_registered() {
     let err = stderr(&out);
     assert!(err.contains("unknown experiment 'nope'"), "{err}");
     assert!(err.contains("continual"), "{err}");
+    // A run-time error is one line; usage is for a command line that
+    // names no subcommand.
+    assert_eq!(err.lines().count(), 1, "{err}");
+}
+
+#[test]
+fn an_unknown_subcommand_shows_usage() {
+    let out = cae_dfkd(&["tabel", "table02"], None);
+    assert!(!out.status.success());
+    let err = stderr(&out);
+    assert!(err.starts_with("error: unknown subcommand 'tabel'\n"), "{err}");
+    assert!(err.contains("USAGE:"), "{err}");
 }
 
 #[test]

@@ -304,8 +304,8 @@ fn config_reports_the_values_the_accessors_parse() {
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_cae-dfkd"))
         .arg("config")
         .env("CAE_NUM_THREADS", " 5")
-        .env("CAE_TRACE_SERIES_CAP", "0")
-        .env("CAE_TRACE_MAX_EVENTS", "lots")
+        .env("CAE_SERVE_MAX_BATCH", "0")
+        .env("CAE_METRICS_INTERVAL_MS", "lots")
         .output()
         .expect("cae-dfkd runs");
     assert!(out.status.success(), "{out:?}");
@@ -318,7 +318,7 @@ fn config_reports_the_values_the_accessors_parse() {
     };
     // A padded thread count sizes the pool, which is what the report shows.
     assert_eq!(value("CAE_NUM_THREADS"), "5");
-    // A zero or unparsable cap is invalid, so the default applies.
-    assert_eq!(value("CAE_TRACE_SERIES_CAP"), "65536");
-    assert_eq!(value("CAE_TRACE_MAX_EVENTS"), "65536");
+    // A zero or unparsable value is invalid, so the default applies.
+    assert_eq!(value("CAE_SERVE_MAX_BATCH"), "16");
+    assert_eq!(value("CAE_METRICS_INTERVAL_MS"), "<unset>");
 }
