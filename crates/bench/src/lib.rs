@@ -43,6 +43,44 @@ pub fn results_dir() -> PathBuf {
     PathBuf::from(Config::get().results_dir.as_deref().unwrap_or("results"))
 }
 
+/// `struct timeval` as laid out on 64-bit Linux.
+#[repr(C)]
+struct Timeval {
+    sec: i64,
+    usec: i64,
+}
+
+/// `struct rusage` as laid out on 64-bit Linux: the two CPU times, then 14
+/// counters this crate does not read.
+#[repr(C)]
+struct Rusage {
+    utime: Timeval,
+    stime: Timeval,
+    rest: [i64; 14],
+}
+
+extern "C" {
+    fn getrusage(who: i32, usage: *mut Rusage) -> i32;
+}
+
+/// User plus system CPU time of the whole process so far (every thread,
+/// the tensor pool's workers included), in seconds.
+///
+/// # Panics
+/// Panics if `getrusage` fails.
+pub fn cpu_seconds() -> f64 {
+    let mut usage = Rusage {
+        utime: Timeval { sec: 0, usec: 0 },
+        stime: Timeval { sec: 0, usec: 0 },
+        rest: [0; 14],
+    };
+    // SAFETY: `usage` is a valid, writable `struct rusage`; 0 is RUSAGE_SELF.
+    let rc = unsafe { getrusage(0, &mut usage) };
+    assert_eq!(rc, 0, "getrusage(RUSAGE_SELF) failed");
+    let secs = |t: &Timeval| t.sec as f64 + t.usec as f64 * 1e-6;
+    secs(&usage.utime) + secs(&usage.stime)
+}
+
 /// Runs one experiment by registry id, traced (shared by the bins).
 ///
 /// # Panics
@@ -65,6 +103,18 @@ pub fn run_one(name: &str, budget: &ExperimentBudget) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn cpu_seconds_advance_with_work() {
+        let before = cpu_seconds();
+        let started = std::time::Instant::now();
+        let mut x = 1u64;
+        while started.elapsed().as_millis() < 50 {
+            x = std::hint::black_box(x.wrapping_mul(6364136223846793005).wrapping_add(1));
+        }
+        let spent = cpu_seconds() - before;
+        assert!(spent > 0.01 && spent < 10.0, "50 ms of spinning took {spent} s of CPU");
+    }
 
     #[test]
     fn run_one_rejects_unknown_ids_with_the_known_list() {

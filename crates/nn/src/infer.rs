@@ -531,8 +531,14 @@ fn apply_owned(op: &FrozenOp, x: Tensor) -> Tensor {
                     out
                 }
             };
-            if *post != Activation::None {
-                out = activation(&out, *post);
+            match *post {
+                Activation::None => {}
+                // In place, on the same lane ops as `activation`.
+                Activation::Relu => vecmath::vec_relu_inplace(out.data_mut()),
+                Activation::LeakyRelu(slope) => {
+                    vecmath::vec_leaky_relu_inplace(out.data_mut(), slope)
+                }
+                Activation::Tanh => out = activation(&out, Activation::Tanh),
             }
             out
         }

@@ -9,12 +9,25 @@
 //! * input gradient: `dcol = Wᵀ · grad_out[o, ncols]` (TN), folded back by
 //!   `col2im`.
 //!
-//! The column matrix is never written: `Patches` prepares the (padded)
-//! input and two offset tables once per call, and the GEMM's B packer
-//! gathers each patch element straight from NCHW into its panels (the tract
-//! `FixedParamsConv`/`patch` design). Packing moves the same values into
-//! the same panel slots an explicit im2col would have, so every output is
-//! the same FMA chain and the bits are unchanged.
+//! The column matrix is never written. `Patches` prepares the (padded)
+//! input and its offset tables once per call, and the GEMM reads patches
+//! straight from NCHW in one of two ways:
+//!
+//! * **gathered** — the B packer gathers each patch element into its
+//!   panels through a per-kernel-row and a per-output-column offset table
+//!   (the tract `FixedParamsConv`/`patch` design). Strided forward convs,
+//!   stride-1 forwards whose grid would waste more than packing costs (see
+//!   [`conv2d_fused`]) and both backward products take this path.
+//! * **in place over the padded output grid** — a stride-1 forward
+//!   computes every grid column `j = oi·Wp + oj` of each image (rounded up
+//!   to whole `NR` tiles), so kernel row `r` of a tile is one contiguous
+//!   run of the padded input at `k_off[r]` and the micro-kernel loads it
+//!   there: B is never packed and there is no column table. The epilogue
+//!   keeps the `OW` valid columns of each `Wp`-wide grid row.
+//!
+//! Both read the same values an explicit im2col would hold, in the same
+//! kernel-row order, so every output is the same FMA chain and the bits
+//! are unchanged.
 //!
 //! Scratch buffers come from [`crate::workspace`] instead of per-call `vec!`
 //! allocations, and the batch loop is split into chunks over
@@ -25,7 +38,7 @@
 //! the thread count would make `dW`/`db` rounding — and therefore whole
 //! training trajectories — depend on `CAE_NUM_THREADS`.
 
-use crate::gemm::{gemm, gemm_with, BSource, PARALLEL_FLOP_THRESHOLD};
+use crate::gemm::{gemm, gemm_with, BSource, NR, PARALLEL_FLOP_THRESHOLD};
 use crate::pool;
 use crate::simd::vecmath;
 use crate::tensor::Tensor;
@@ -108,30 +121,62 @@ fn weight_out_channels(op: &str, c: usize, weight: &Tensor, spec: Conv2dSpec) ->
 }
 
 /// The implicit im2col of one conv call. Patch element `(r, j)` — kernel
-/// row `r = (ci, ki, kj)`, output column `j = (ni, oi, oj)` — is
-/// `src[k_off[r] + n_off[j]]`, where `src` is the input, zero-padded into
-/// `[N, C, H+2p, W+2p]` when `p > 0` so every gather is in bounds and
-/// branch-free (padding reads `+0.0`, as an explicit column matrix holds).
+/// row `r = (ci, ki, kj)`, output column `j` of image `ni` — is
+/// `src[ni·img_stride + k_off[r] + col]`, where `src` is the input,
+/// zero-padded into `[N, C, H+2p, W+2p]` when `p > 0` so every read is in
+/// bounds and branch-free (padding reads `+0.0`, as an explicit column
+/// matrix holds), and `col` is the output position's offset in one padded
+/// image.
+///
+/// Two column layouts:
+/// * **gathered** (strided forward convs, stride-1 forwards whose grid
+///   would waste too much, and the backward pass): one
+///   column per output position, `N·OH·OW` in all, whose offsets
+///   `(oi·Wp + oj)·s` (plus the image base) sit in a table the GEMM's B
+///   packer gathers through;
+/// * **grid** (`in_place`, stride-1 forward): each image's columns are the
+///   padded output grid `j = oi·Wp + oj` for `j < (OH−1)·Wp + OW`, rounded
+///   up to whole `NR` tiles, so `col = j` and kernel row `r` of an image is
+///   the contiguous run at `k_off[r]` — the GEMM reads it in place
+///   ([`BSource::Rows`]). Only `OW` of each `Wp` grid columns are outputs;
+///   the rest are computed and dropped. The last image's tail tile reads up
+///   to `NR − 1` floats past its data, so the buffer carries that slack.
 struct Patches<'a> {
     src: Cow<'a, [f32]>,
-    /// `k_off` (`krows` entries) followed by `n_off` (`N·OH·OW` entries).
+    /// `k_off` (`krows` entries), then on the gathered layout the column
+    /// offsets (`N·OH·OW` entries, image-major).
     offs: Vec<usize>,
     krows: usize,
+    /// Floats per (padded) input image, `C·(H+2p)·(W+2p)`.
+    img_stride: usize,
+    /// GEMM columns per image: `OH·OW`, or the grid in whole tiles.
+    img_cols: usize,
+    /// Distance between output rows in an image's columns: `OW`, or `Wp`
+    /// on the grid.
+    row_pitch: usize,
+    in_place: bool,
 }
 
 impl<'a> Patches<'a> {
-    fn new(x: &'a Tensor, spec: Conv2dSpec) -> Self {
+    fn new(x: &'a Tensor, spec: Conv2dSpec, in_place: bool) -> Self {
         let _sp = cae_trace::span_stat("conv.im2col");
         let (n, c, h, w) = x.shape().nchw();
         let (k, s, p) = (spec.kernel, spec.stride, spec.padding);
         let (oh, ow) = (spec.out_size(h), spec.out_size(w));
         let (hp, wp) = (h + 2 * p, w + 2 * p);
+        assert!(!in_place || s == 1, "the output grid is a stride-1 layout");
+        let (img_cols, row_pitch, slack) = if in_place {
+            let cols = grid_cols(spec, h, w);
+            (cols, wp, cols - ((oh - 1) * wp + ow))
+        } else {
+            (oh * ow, ow, 0)
+        };
         // Zeroed: only the interior rows are copied in. Plain index loops
         // throughout — this runs once per conv call, often on tiny shapes.
-        let src = if p == 0 {
+        let src = if p == 0 && slack == 0 {
             Cow::Borrowed(x.data())
         } else {
-            let mut xp = workspace::take(Slot::Padded, n * c * hp * wp);
+            let mut xp = workspace::take(Slot::Padded, n * c * hp * wp + slack);
             for plane in 0..n * c {
                 for i in 0..h {
                     let d = (plane * hp + i + p) * wp + p;
@@ -141,7 +186,7 @@ impl<'a> Patches<'a> {
             Cow::Owned(xp)
         };
         let krows = c * k * k;
-        let mut offs = workspace::take_offsets(krows + n * oh * ow);
+        let mut offs = workspace::take_offsets(krows + if in_place { 0 } else { n * oh * ow });
         let mut r = 0;
         for ci in 0..c {
             for ki in 0..k {
@@ -151,25 +196,46 @@ impl<'a> Patches<'a> {
                 }
             }
         }
-        for ni in 0..n {
-            for oi in 0..oh {
-                for oj in 0..ow {
-                    offs[r] = ni * c * hp * wp + (oi * wp + oj) * s;
-                    r += 1;
+        if !in_place {
+            for ni in 0..n {
+                for oi in 0..oh {
+                    for oj in 0..ow {
+                        offs[r] = ni * c * hp * wp + (oi * wp + oj) * s;
+                        r += 1;
+                    }
                 }
             }
         }
-        Patches { src, offs, krows }
+        Patches { src, offs, krows, img_stride: c * hp * wp, img_cols, row_pitch, in_place }
     }
 
     fn k_off(&self) -> &[usize] {
         &self.offs[..self.krows]
     }
 
-    /// Output-column offsets of the output columns `cols` (`N·OH·OW` in
+    /// Gathered-layout offsets of the output columns `cols` (`N·OH·OW` in
     /// all, image-major).
     fn n_off(&self, cols: std::ops::Range<usize>) -> &[usize] {
         &self.offs[self.krows + cols.start..self.krows + cols.end]
+    }
+
+    /// The forward product's B operand for the images `images`: their
+    /// `images.len()·img_cols` columns.
+    fn forward_b(&self, images: std::ops::Range<usize>) -> BSource<'_> {
+        if self.in_place {
+            BSource::Rows {
+                src: &self.src[images.start * self.img_stride..],
+                row_off: self.k_off(),
+                img_cols: self.img_cols,
+                img_stride: self.img_stride,
+            }
+        } else {
+            BSource::Patches {
+                src: &self.src,
+                row_off: self.k_off(),
+                col_off: self.n_off(images.start * self.img_cols..images.end * self.img_cols),
+            }
+        }
     }
 
     fn release(self) {
@@ -178,6 +244,13 @@ impl<'a> Patches<'a> {
         }
         workspace::give_offsets(self.offs);
     }
+}
+
+/// GEMM columns per image on the padded output grid of a stride-1 conv
+/// over `h x w`: `(OH−1)·Wp + OW`, rounded up to whole `NR` tiles.
+fn grid_cols(spec: Conv2dSpec, h: usize, w: usize) -> usize {
+    let wp = w + 2 * spec.padding;
+    ((spec.out_size(h) - 1) * wp + spec.out_size(w)).next_multiple_of(NR)
 }
 
 /// Half-open range of output positions `o` whose input coordinate
@@ -286,13 +359,12 @@ pub fn conv2d_fused(
     let ncols = oh * ow;
     let krows = c * spec.kernel * spec.kernel;
     let per_sample = o * ncols;
-    let mut out = Tensor::zeros(&[n, o, oh, ow]);
     if n == 0 || per_sample == 0 {
-        return out;
+        return Tensor::zeros(&[n, o, oh, ow]);
     }
 
-    // Each chunk of images is one GEMM over its `chunk·OH·OW` patch columns,
-    // so weight packing, GEMM blocking setup and the epilogue pass are paid
+    // Each chunk of images is one GEMM over its images' patch columns, so
+    // weight packing, GEMM blocking setup and the epilogue pass are paid
     // once per *chunk* rather than once per *image* — on small per-image
     // shapes those fixed costs dominate, and amortizing them is what makes
     // dynamic batching in `cae-serve` pay off. Each output column's
@@ -308,44 +380,50 @@ pub fn conv2d_fused(
         1
     };
     let per_chunk = n.div_ceil(chunks);
-    let patches = Patches::new(x, spec);
-    let out_ptr = SendPtr(out.data_mut().as_mut_ptr());
+    // A stride-1 conv runs over the padded output grid, which skips packing
+    // B but computes `grid_cols − OH·OW` dropped columns per image, `O`
+    // output rows each. That pays while the dropped work stays under about
+    // `NR` rows per kept column: on 12x12..3x3 maps with 4..16 channels
+    // the forward gets faster, while 2x2 and 1x1 maps, or 24+ channels on
+    // 3x3, were measured slower than packing and keep the gathered path.
+    let in_place = spec.stride == 1 && (grid_cols(spec, h, w) - ncols) * o < ncols * NR;
+    let patches = Patches::new(x, spec, in_place);
+    let (img_cols, pitch) = (patches.img_cols, patches.row_pitch);
+    // Not zero-filled: the epilogue writes every element before the length
+    // is set.
+    let mut data = Vec::<f32>::with_capacity(n * per_sample);
+    let out_ptr = SendPtr(data.as_mut_ptr());
     let run = |t: usize| {
         // Capture the wrapper, not its raw-pointer field (which is !Sync).
         let out_ptr = &out_ptr;
         let images = t * per_chunk..n.min((t + 1) * per_chunk);
-        let total = images.len() * ncols;
+        let total = images.len() * img_cols;
         // Unzeroed: the GEMM overwrites every element (accumulate=false).
         let mut prod = workspace::take_unzeroed(Slot::ConvOut, o * total);
-        let cols = BSource::Patches {
-            src: &patches.src,
-            row_off: patches.k_off(),
-            col_off: patches.n_off(images.start * ncols..images.end * ncols),
-        };
+        let cols = patches.forward_b(images.clone());
         gemm_with(o, total, krows, weight.data(), (krows, 1), cols, &mut prod, false);
         let _ep = cae_trace::span_stat("conv.epilogue");
-        // SAFETY: the images of chunk `t` belong to it alone, so this slice
-        // is not aliased by any other task.
-        let od = unsafe {
-            std::slice::from_raw_parts_mut(
-                out_ptr.0.add(images.start * per_sample),
-                images.len() * per_sample,
-            )
-        };
-        for (ni, img) in od.chunks_exact_mut(per_sample).enumerate() {
-            for (oi, dst) in img.chunks_exact_mut(ncols).enumerate() {
-                dst.copy_from_slice(&prod[oi * total + ni * ncols..][..ncols]);
-                let bv = bias.map_or(0.0, |b| b.data()[oi]);
-                match epilogue {
-                    ConvEpilogue::None if bias.is_some() => {
-                        vecmath::vec_add_scalar_inplace(dst, bv)
-                    }
-                    ConvEpilogue::None => {}
-                    ConvEpilogue::Relu => vecmath::vec_bias_relu_inplace(dst, bv),
-                    ConvEpilogue::LeakyRelu(slope) => {
-                        vecmath::vec_bias_leaky_relu_inplace(dst, bv, slope)
-                    }
+        // Bias and activation run over each channel's whole product row,
+        // dropped grid columns included: one kernel call per channel, the
+        // same lane op on every kept element.
+        for (oi, row) in prod.chunks_exact_mut(total).enumerate() {
+            let bv = bias.map_or(0.0, |b| b.data()[oi]);
+            match epilogue {
+                ConvEpilogue::None if bias.is_some() => vecmath::vec_add_scalar_inplace(row, bv),
+                ConvEpilogue::None => {}
+                ConvEpilogue::Relu => vecmath::vec_bias_relu_inplace(row, bv),
+                ConvEpilogue::LeakyRelu(slope) => {
+                    vecmath::vec_bias_leaky_relu_inplace(row, bv, slope)
                 }
+            }
+        }
+        for (ni, image) in images.enumerate() {
+            for oi in 0..o {
+                let src = &prod[oi * total + ni * img_cols..][..(oh - 1) * pitch + ow];
+                // SAFETY: the images of chunk `t` belong to it alone, so
+                // this channel is written by no other task, and the
+                // output's capacity covers its `ncols` floats.
+                unsafe { copy_rows(src, pitch, ow, out_ptr.0.add((image * o + oi) * ncols)) };
             }
         }
         workspace::give(Slot::ConvOut, prod);
@@ -355,7 +433,39 @@ pub fn conv2d_fused(
         tasks => pool::parallel_for(tasks, run),
     }
     patches.release();
-    out
+    // SAFETY: the chunks cover every image, and each wrote all of its
+    // images' `per_sample` floats.
+    unsafe { data.set_len(n * per_sample) };
+    Tensor::from_vec(data, &[n, o, oh, ow]).expect("conv output shape is consistent by construction")
+}
+
+/// Copies the `width`-float rows that start every `pitch` floats of `src`
+/// densely to `dst`, in fixed 4-float moves plus a scalar tail: output rows
+/// are a few floats long, where a `memcpy` call per row costs more than
+/// the copy.
+///
+/// # Safety
+/// `dst` must be valid for `src.len().div_ceil(pitch)·width` writes that
+/// alias nothing borrowed.
+#[inline(always)]
+unsafe fn copy_rows(src: &[f32], pitch: usize, width: usize, dst: *mut f32) {
+    for (y, row) in src.chunks(pitch).enumerate() {
+        let (s, d) = (row[..width].as_ptr(), unsafe { dst.add(y * width) });
+        let mut x = 0;
+        // SAFETY: `x + 4 ≤ width` and `x < width` keep every read in `row`
+        // and every write in row `y` of `dst`.
+        unsafe {
+            while x + 4 <= width {
+                let quad = s.add(x).cast::<[f32; 4]>().read_unaligned();
+                d.add(x).cast::<[f32; 4]>().write_unaligned(quad);
+                x += 4;
+            }
+            while x < width {
+                d.add(x).write(*s.add(x));
+                x += 1;
+            }
+        }
+    }
 }
 
 /// Which gradients [`conv2d_backward`] computes.
@@ -441,7 +551,7 @@ pub fn conv2d_backward(
             .map_or(std::ptr::null_mut(), |t| t.data_mut().as_mut_ptr()),
     );
     let (god, wd_flat) = (grad_out.data(), weight.data());
-    let patches = want.weight.then(|| Patches::new(x, spec));
+    let patches = want.weight.then(|| Patches::new(x, spec, false));
 
     pool::parallel_for(tasks, |t| {
         // Capture the wrappers, not their raw-pointer fields (which are
@@ -848,7 +958,7 @@ mod tests {
         )
         .unwrap();
         let y: Vec<f32> = (0..krows * ncols).map(|i| (i as f32 * 0.11).cos()).collect();
-        let patches = Patches::new(&x, spec);
+        let patches = Patches::new(&x, spec, false);
         let (src, k_off, n_off) = (&patches.src, patches.k_off(), patches.n_off(0..ncols));
         let mut lhs = 0.0f32;
         for r in 0..krows {

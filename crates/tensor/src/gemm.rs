@@ -11,13 +11,18 @@
 //!   col_stride)` pairs, so NN, NT and TN products are the same code path;
 //!   transposition happens for free during packing.
 //! * **Implicit im2col** — inside the crate, B may instead be a conv patch
-//!   gather (`BSource::Patches`): the packer reads each patch element
-//!   straight from the (padded) NCHW input through two offset tables, so
-//!   convolution never materializes its column matrix.
-//! * **Packing** — A is repacked into `MR`-row panels and B into `NR`-column
-//!   panels, both contiguous in the micro-kernel's access order and
-//!   zero-padded to tile multiples, so the inner loop is branch-free and
-//!   sequential regardless of the original layout.
+//!   source, so convolution never materializes its column matrix. A gather
+//!   (`BSource::Patches`: strided convs, stride-1 convs on maps too small
+//!   for the grid, and both backward products) is packed element by
+//!   element from the (padded) NCHW input through two offset tables. A
+//!   stride-1 forward conv otherwise computes over the padded output grid
+//!   (`BSource::Rows`): there every kernel row of a tile is one contiguous
+//!   run of the padded input, so the micro-kernel loads it in place and B
+//!   is never packed.
+//! * **Packing** — A is repacked into `MR`-row panels and B (unless read in
+//!   place) into `NR`-column panels, both contiguous in the micro-kernel's
+//!   access order and zero-padded to tile multiples, so the inner loop is
+//!   branch-free and sequential regardless of the original layout.
 //! * **Register micro-kernel** — an `MR × NR = 4 × 16` f32 accumulator
 //!   block ([`microkernel`]) written over the [`crate::simd::SimdF32`]
 //!   trait: each output row is two 8-lane vectors updated with fused
@@ -48,7 +53,7 @@ use crate::workspace::{self, Slot};
 const MR: usize = 4;
 /// Micro-kernel columns: two 8-lane SIMD vectors per row (8 accumulator
 /// registers total on AVX2, half the register file).
-const NR: usize = 2 * LANES;
+pub(crate) const NR: usize = 2 * LANES;
 /// Depth-block size. Splitting k into blocks stores and re-adds partial
 /// products, so unlike `MC`/`NC` this size participates in the f32
 /// accumulation order: changing it changes result bits.
@@ -78,17 +83,34 @@ pub(crate) enum BSource<'a> {
     /// passes per-kernel-row offsets as `row_off` and per-output-column
     /// offsets as `col_off`; the weight gradient's NT product swaps them.
     Patches { src: &'a [f32], row_off: &'a [usize], col_off: &'a [usize] },
+    /// Conv patches over the padded output grid, read in place (never
+    /// packed): `B[p, j] = src[row_off[p] + (j / img_cols)·img_stride +
+    /// j % img_cols]`. Columns come in images of `img_cols`, a multiple of
+    /// `NR`, whose images start `img_stride` floats apart in `src`; so
+    /// every `NR`-column tile lies in one image, and its row `p` is the
+    /// contiguous run at `row_off[p]` plus the tile's start.
+    Rows { src: &'a [f32], row_off: &'a [usize], img_cols: usize, img_stride: usize },
 }
 
 impl BSource<'_> {
     /// Panics unless every element of the logical `k x n` operand
-    /// (`k, n > 0`) is in bounds, so packing may index unchecked.
+    /// (`k, n > 0`) is in bounds, so packing and the in-place micro-kernel
+    /// may index unchecked. For [`BSource::Rows`] that covers every float
+    /// a tile loads, padding columns included.
     fn check(&self, k: usize, n: usize) {
+        let max = |o: &[usize]| o.iter().copied().max().unwrap_or(0);
         let (len, last) = match *self {
             BSource::Strided(b, (brs, bcs)) => (b.len(), (k - 1) * brs + (n - 1) * bcs),
             BSource::Patches { src, row_off, col_off } => {
-                let max = |o: &[usize]| o.iter().copied().max().unwrap_or(0);
                 (src.len(), max(&row_off[..k]) + max(&col_off[..n]))
+            }
+            BSource::Rows { src, row_off, img_cols, img_stride } => {
+                assert!(
+                    img_cols.is_multiple_of(NR) && n.is_multiple_of(img_cols),
+                    "in-place B: {n} columns are not whole images of {img_cols} whole tiles"
+                );
+                let last_image = (n / img_cols - 1) * img_stride;
+                (src.len(), max(&row_off[..k]) + last_image + img_cols - 1)
             }
         };
         assert!(last < len, "B too short for {k}x{n}: reads index {last} of {len}");
@@ -179,16 +201,24 @@ pub(crate) fn gemm_with(
     };
 
     // Unzeroed: `pack_b` overwrites every element of the region the
-    // micro-kernel reads (padding included).
-    let mut bbuf =
-        workspace::take_unzeroed(Slot::PackB, n.min(NC).div_ceil(NR) * NR * k.min(KC));
+    // micro-kernel reads (padding included). In-place rows need no buffer.
+    let in_place = matches!(b, BSource::Rows { .. });
+    let mut bbuf = if in_place {
+        Vec::new()
+    } else {
+        workspace::take_unzeroed(Slot::PackB, n.min(NC).div_ceil(NR) * NR * k.min(KC))
+    };
     let cptr = SendPtr(c.as_mut_ptr());
+    // Column blocks bound the packed B panel; rows read in place need none.
+    let nc_step = if in_place { n } else { NC };
 
-    for jc in (0..n).step_by(NC) {
-        let nc = NC.min(n - jc);
+    for jc in (0..n).step_by(nc_step) {
+        let nc = nc_step.min(n - jc);
         for pc in (0..k).step_by(KC) {
             let kc = KC.min(k - pc);
-            pack_b(&mut bbuf, b, pc, kc, jc, nc);
+            if !in_place {
+                pack_b(&mut bbuf, b, pc, kc, jc, nc);
+            }
             // On the first k-block, overwrite C unless the caller asked to
             // accumulate; later k-blocks always accumulate.
             let add = accumulate || pc > 0;
@@ -211,7 +241,9 @@ pub(crate) fn gemm_with(
                 // blocks partition the row range, so writes are disjoint;
                 // the pointer outlives the call.
                 unsafe {
-                    process_row_block(ic, mc, pc, kc, jc, nc, a, ars, acs, &bbuf, cptr.0, n, add);
+                    process_row_block(
+                        ic, mc, pc, kc, jc, nc, a, ars, acs, b, &bbuf, cptr.0, n, add,
+                    );
                 }
             };
             if threads > 1 && blocks > 1 {
@@ -223,7 +255,9 @@ pub(crate) fn gemm_with(
             }
         }
     }
-    workspace::give(Slot::PackB, bbuf);
+    if !in_place {
+        workspace::give(Slot::PackB, bbuf);
+    }
 }
 
 /// Reference implementation: the seed's naive i-k-j saxpy loop (minus its
@@ -413,6 +447,7 @@ fn pack_b(dst: &mut [f32], b: BSource<'_>, pc: usize, kc: usize, jc: usize, nc: 
                 let cols: [usize; NR] = std::array::from_fn(|j| (j0 + j) * bcs);
                 pack_panel(panel, b, |kk| (pc + kk) * brs, &cols[..w]);
             }
+            BSource::Rows { .. } => unreachable!("in-place B rows are never packed"),
         }
     }
 }
@@ -541,34 +576,47 @@ unsafe fn transpose8x8_avx2(src: *const f32, src_stride: usize, dst: *mut f32, d
     }
 }
 
+/// Where the micro-kernel reads B row `kk` of its `NR`-column tile.
+#[derive(Clone, Copy)]
+enum BTile<'a> {
+    /// A packed panel: row `kk` at `kk·NR`.
+    Packed(&'a [f32]),
+    /// In place ([`BSource::Rows`]): row `kk` at `rows[kk]` of the slice,
+    /// which starts at the tile's first column.
+    Rows(&'a [f32], &'a [usize]),
+}
+
 /// The register block, generic over the SIMD backend:
-/// `acc[i][j] += sum_k ap[k][i] * bp[k][j]` over one packed A panel and one
-/// packed B panel. Each of the `MR` output rows is two 8-lane vectors
-/// updated with one fused multiply-add per k-step, so per output element
-/// the whole k-loop is a single sequential FMA chain — the accumulation
-/// order (and therefore the bits) is independent of backend and blocking.
+/// `acc[i][j] = sum_k ap[k][i] * B[k][j]` over one packed A panel and one
+/// B tile, packed or read in place ([`BTile`]). Each of the `MR` output
+/// rows is two 8-lane vectors updated with one fused multiply-add per
+/// k-step, so per output element the whole k-loop is a single sequential
+/// FMA chain — the accumulation order (and therefore the bits) is
+/// independent of backend, blocking and where B is read from.
 #[inline(always)]
 unsafe fn microkernel_impl<S: SimdF32>(
     kc: usize,
     ap: &[f32],
-    bp: &[f32],
+    b: BTile<'_>,
     acc: &mut [[f32; NR]; MR],
 ) {
-    debug_assert!(ap.len() >= kc * MR && bp.len() >= kc * NR);
+    debug_assert!(ap.len() >= kc * MR);
     unsafe {
         let mut accv = [[S::zero(); 2]; MR];
-        let mut a = ap.as_ptr();
-        let mut b = bp.as_ptr();
-        for _ in 0..kc {
-            let b0 = S::load(b);
-            let b1 = S::load(b.add(LANES));
-            for (i, row) in accv.iter_mut().enumerate() {
-                let ai = S::splat(*a.add(i));
-                row[0] = ai.mul_add(b0, row[0]);
-                row[1] = ai.mul_add(b1, row[1]);
+        let a = ap.as_ptr();
+        match b {
+            BTile::Packed(bp) => {
+                debug_assert!(bp.len() >= kc * NR);
+                for kk in 0..kc {
+                    fma_step(&mut accv, a.add(kk * MR), bp.as_ptr().add(kk * NR));
+                }
             }
-            a = a.add(MR);
-            b = b.add(NR);
+            BTile::Rows(src, rows) => {
+                debug_assert!(rows[..kc].iter().all(|&r| r + NR <= src.len()));
+                for (kk, &r) in rows[..kc].iter().enumerate() {
+                    fma_step(&mut accv, a.add(kk * MR), src.as_ptr().add(r));
+                }
+            }
         }
         for (vrow, out) in accv.iter().zip(acc.iter_mut()) {
             vrow[0].store(out.as_mut_ptr());
@@ -577,16 +625,33 @@ unsafe fn microkernel_impl<S: SimdF32>(
     }
 }
 
+/// One k-step of [`microkernel_impl`]: `MR` A values at `a` times the
+/// `NR`-float B row at `row`. A function, not a closure, so it compiles
+/// under the caller's target features.
+#[inline(always)]
+unsafe fn fma_step<S: SimdF32>(accv: &mut [[S; 2]; MR], a: *const f32, row: *const f32) {
+    unsafe {
+        let b0 = S::load(row);
+        let b1 = S::load(row.add(LANES));
+        for (i, vrow) in accv.iter_mut().enumerate() {
+            let ai = S::splat(*a.add(i));
+            vrow[0] = ai.mul_add(b0, vrow[0]);
+            vrow[1] = ai.mul_add(b1, vrow[1]);
+        }
+    }
+}
+
 simd_dispatch!(
     /// Runtime-dispatched entry to [`microkernel_impl`]: one call per
     /// `MR x NR` tile, compiled under the active backend's target features.
-    fn microkernel(kc: usize, ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) =
+    fn microkernel(kc: usize, ap: &[f32], b: BTile<'_>, acc: &mut [[f32; NR]; MR]) =
         microkernel_impl
 );
 
 /// Runs one `mc x nc` row block: packs A once, then sweeps the micro-kernel
 /// over all `MR x NR` tiles, writing (or adding) the valid region of each
-/// accumulator into C.
+/// accumulator into C. B tiles come from the packed panels in `bbuf`, or
+/// straight from `b` when it is [`BSource::Rows`].
 ///
 /// # Safety
 /// `c` must be valid for `ldc`-strided writes to rows `[ic, ic+mc)`, columns
@@ -602,6 +667,7 @@ unsafe fn process_row_block(
     a: &[f32],
     ars: usize,
     acs: usize,
+    b: BSource<'_>,
     bbuf: &[f32],
     c: *mut f32,
     ldc: usize,
@@ -612,13 +678,20 @@ unsafe fn process_row_block(
     pack_a(&mut abuf, a, ars, acs, ic, mc, pc, kc);
 
     for q in 0..nc.div_ceil(NR) {
-        let bp = &bbuf[q * kc * NR..(q + 1) * kc * NR];
+        let tile = match b {
+            // `BSource::check` bounded every row of every tile.
+            BSource::Rows { src, row_off, img_cols, img_stride } => {
+                let j = jc + q * NR;
+                BTile::Rows(&src[j / img_cols * img_stride + j % img_cols..], &row_off[pc..pc + kc])
+            }
+            _ => BTile::Packed(&bbuf[q * kc * NR..(q + 1) * kc * NR]),
+        };
         let cols = NR.min(nc - q * NR);
         for p in 0..mc.div_ceil(MR) {
             let ap = &abuf[p * kc * MR..(p + 1) * kc * MR];
             let rows = MR.min(mc - p * MR);
             let mut acc = [[0.0f32; NR]; MR];
-            microkernel(kc, ap, bp, &mut acc);
+            microkernel(kc, ap, tile, &mut acc);
             let row0 = ic + p * MR;
             let col0 = jc + q * NR;
             for (i, acc_row) in acc.iter().enumerate().take(rows) {
@@ -728,6 +801,28 @@ mod tests {
         assert!(c[0].is_nan(), "zero-skip would have hidden this NaN");
         // Column 1 of B holds no NaN, so that output stays finite.
         assert_eq!(c[1], 0.0);
+    }
+
+    /// A 3x3 image padded to 5x5 under a 3x3 kernel: grid columns
+    /// `2·5 + 3 = 13`, one 16-column tile, whose last row reads index
+    /// `(2·5 + 2) + 15 = 27`.
+    fn rows_over(src: &[f32]) -> Vec<f32> {
+        let row_off: Vec<usize> = (0..3).flat_map(|ki| (0..3).map(move |kj| ki * 5 + kj)).collect();
+        let mut c = vec![0.0f32; 16];
+        let b = BSource::Rows { src, row_off: &row_off, img_cols: 16, img_stride: 25 };
+        gemm_with(1, 16, 9, &[1.0; 9], (9, 1), b, &mut c, false);
+        c
+    }
+
+    #[test]
+    fn in_place_rows_with_tail_slack_are_read() {
+        assert_eq!(rows_over(&[1.0; 28]), vec![9.0; 16]);
+    }
+
+    #[test]
+    #[should_panic(expected = "B too short for 9x16: reads index 27 of 25")]
+    fn in_place_rows_without_tail_slack_are_refused() {
+        rows_over(&[1.0; 25]);
     }
 
     #[test]

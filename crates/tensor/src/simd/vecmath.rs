@@ -282,6 +282,20 @@ unsafe fn leaky_relu_slice<S: SimdF32>(src: &[f32], slope: f32, dst: &mut [f32])
 }
 
 #[inline(always)]
+unsafe fn relu_inplace_slice<S: SimdF32>(dst: &mut [f32]) {
+    unsafe { unary_inplace_loop!(S, dst, |v| v.max(S::zero())) }
+}
+
+#[inline(always)]
+unsafe fn leaky_relu_inplace_slice<S: SimdF32>(dst: &mut [f32], slope: f32) {
+    unsafe {
+        let s = S::splat(slope);
+        let zero = S::zero();
+        unary_inplace_loop!(S, dst, |v| S::select(v.gt(zero), v, v.mul(s)))
+    }
+}
+
+#[inline(always)]
 unsafe fn relu_grad_slice<S: SimdF32>(x: &[f32], g: &[f32], dst: &mut [f32]) {
     unsafe {
         let zero = S::zero();
@@ -645,6 +659,15 @@ simd_dispatch!(
     pub fn vec_leaky_relu(src: &[f32], slope: f32, dst: &mut [f32]) = leaky_relu_slice
 );
 simd_dispatch!(
+    /// In-place [`vec_relu`]: `dst[i] = max(dst[i], 0)`, the same lane op.
+    pub fn vec_relu_inplace(dst: &mut [f32]) = relu_inplace_slice
+);
+simd_dispatch!(
+    /// In-place [`vec_leaky_relu`]: `dst[i] = dst[i] > 0 ? dst[i] :
+    /// slope·dst[i]`, the same lane op.
+    pub fn vec_leaky_relu_inplace(dst: &mut [f32], slope: f32) = leaky_relu_inplace_slice
+);
+simd_dispatch!(
     /// ReLU backward: `dst[i] = x[i] > 0 ? g[i] : 0`.
     pub fn vec_relu_grad(x: &[f32], g: &[f32], dst: &mut [f32]) = relu_grad_slice
 );
@@ -890,6 +913,25 @@ mod tests {
         assert_eq!(lg[0], 0.5);
         assert!((lg[1] - 0.05).abs() < 1e-7);
         assert!((vec_dot(&a, &b) - a.iter().sum::<f32>() * 0.5).abs() < 1e-5);
+    }
+
+    #[test]
+    fn inplace_activations_match_out_of_place_bits() {
+        // 11 elements: one full 8-lane chunk plus a masked tail, NaN and
+        // signed zeros included.
+        let mut src: Vec<f32> = (0..11).map(|i| (i as f32) * 0.7 - 3.5).collect();
+        src[2] = f32::NAN;
+        src[4] = -0.0;
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut want = vec![0.0f32; src.len()];
+        vec_relu(&src, &mut want);
+        let mut got = src.clone();
+        vec_relu_inplace(&mut got);
+        assert_eq!(bits(&got), bits(&want), "relu");
+        vec_leaky_relu(&src, 0.2, &mut want);
+        let mut got = src.clone();
+        vec_leaky_relu_inplace(&mut got, 0.2);
+        assert_eq!(bits(&got), bits(&want), "leaky relu");
     }
 
     #[test]

@@ -40,16 +40,18 @@ pub enum Slot {
     /// Packed B panels of the blocked GEMM.
     PackB,
     /// Zero-padded copy of a conv input, `[N, C, H+2p, W+2p]`, that the
-    /// GEMM's B packer gathers patches from (conv2d forward and weight
-    /// gradient; unused when the padding is zero).
+    /// GEMM's B packer gathers patches from, or the stride-1 forward reads
+    /// in place (then followed by the grid's tail slack). Unused when the
+    /// padding is zero and no slack is needed.
     Padded,
     /// Gradient w.r.t. the unfolded patch matrix (conv2d input gradient,
     /// folded back into the image by `col2im`).
     DCol,
     /// Per-chunk partial accumulators for parallel reductions.
     Partial,
-    /// GEMM product of one conv2d batch chunk, `[O, images·OH·OW]`,
-    /// before the epilogue scatters it into NCHW order.
+    /// GEMM product of one conv2d batch chunk, `[O, images·columns]`
+    /// (`OH·OW` columns per image, or the padded output grid in whole
+    /// tiles), before the epilogue copies it into NCHW order.
     ConvOut,
 }
 

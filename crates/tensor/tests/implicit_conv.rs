@@ -1,13 +1,16 @@
 //! Bit-identity suite for the implicit-GEMM convolution.
 //!
 //! `conv2d_fused` and `conv2d_backward` never materialize the im2col
-//! column matrix: the GEMM's B packer gathers patches straight from the
-//! (padded) NCHW input. This suite keeps an explicit im2col plus the public
-//! strided [`gemm`] as a *test-local* reference — the lowering the kernels
-//! used before — and requires `to_bits()` equality with it for the forward
-//! output and for `dW`, `db` and `dx`, across kernel sizes, strides,
-//! paddings, non-square inputs, depth blocks past `KC`, column counts past
-//! the `NR` panel and the default `nc` block, and both forward chunk
+//! column matrix: a strided forward conv and the backward products gather
+//! patches straight from the (padded) NCHW input into packed panels, and a
+//! stride-1 forward conv computes over the padded output grid, its
+//! micro-kernel reading every kernel row in place. This suite keeps an
+//! explicit im2col plus the public strided [`gemm`] as a *test-local*
+//! reference — the lowering the kernels used before — and requires
+//! `to_bits()` equality with it for the forward output and for `dW`, `db`
+//! and `dx`, across kernel sizes, strides, paddings, non-square inputs,
+//! depth blocks past `KC`, column counts past the `NR` panel and the
+//! default `nc` block, grids that end mid-tile, and both forward chunk
 //! counts (one chunk, and one per budgeted thread).
 
 use cae_tensor::conv::{self, Conv2dSpec, ConvEpilogue, ConvGrads};
@@ -32,17 +35,23 @@ fn wide_pool() {
     );
 }
 
-/// Runs `f` inside a pool task, where the thread budget is 1, so conv2d
-/// takes its single-chunk body.
-fn with_budget_one<T: Send>(f: impl Fn() -> T + Sync) -> T {
+/// Runs `f` inside a pool task whose thread budget is `budget`, so conv2d
+/// above the parallel cutoff splits its batch into `budget` chunks.
+fn with_budget<T: Send>(budget: usize, f: impl Fn() -> T + Sync) -> T {
     let out = Mutex::new(None);
-    pool::parallel_for(2, |t| {
+    pool::parallel_for_with(pool::JobOpts::cell(budget), 2, |t| {
         if t == 0 {
-            assert_eq!(pool::current_parallelism(), 1);
+            assert_eq!(pool::current_parallelism(), budget);
             *out.lock().unwrap() = Some(f());
         }
     });
     out.into_inner().unwrap().expect("task 0 ran")
+}
+
+/// Runs `f` inside a pool task, where the thread budget is 1, so conv2d
+/// takes its single-chunk body.
+fn with_budget_one<T: Send>(f: impl Fn() -> T + Sync) -> T {
+    with_budget(1, f)
 }
 
 /// Explicit im2col of one `[C, H, W]` image into `[C*k*k, OH*OW]`, zeros
@@ -393,5 +402,86 @@ fn serial_and_parallel_gemm_plans_are_bit_identical() {
                 &with_budget_one(run),
             );
         }
+    }
+}
+
+// Stride-1 forward convs run over the padded output grid: per image the
+// GEMM columns are `j = oi·Wp + oj` for `j < (OH−1)·Wp + OW`, rounded up to
+// whole NR = 16 tiles, and the micro-kernel reads B rows in place. The
+// cases below put that layout's edges under the reference; each keeps the
+// dropped grid columns times O under NR per output column, so it takes the
+// in-place path.
+
+#[test]
+fn in_place_grids_ending_mid_tile_and_past_the_nc_block_match_explicit_im2col() {
+    wide_pool();
+    // 11x13 at p = 1: Wp = 15, grid = 10·15 + 13 = 163, rounded to 176 —
+    // the last tile of every image holds 3 grid columns and 13 padding
+    // columns, and 3 images make 528 GEMM columns, past NC = 256.
+    Case::new(90, (3, 3, 11, 13, 5), Conv2dSpec::new(3, 1, 1)).check();
+    // 5x5 kernel at p = 2 on 6x4: Wp = 8, grid = 5·8 + 4 = 44 → 48.
+    Case::new(91, (4, 2, 6, 4, 4), Conv2dSpec::new(5, 1, 2)).check();
+}
+
+#[test]
+fn in_place_output_channels_off_the_mr_tile_match_explicit_im2col() {
+    wide_pool();
+    // O = 7 and O = 1: the last A panel of MR = 4 rows is partly padding.
+    Case::new(92, (2, 3, 6, 6, 7), Conv2dSpec::new(3, 1, 1)).check();
+    Case::new(93, (3, 4, 5, 7, 1), Conv2dSpec::new(3, 1, 1)).check();
+}
+
+#[test]
+fn in_place_depth_past_the_kc_block_matches_explicit_im2col() {
+    wide_pool();
+    // krows = 29·9 = 261 > KC = 256: the second depth block adds its
+    // partial sums onto C from in-place rows 256..261.
+    Case::new(94, (2, 29, 7, 5, 6), Conv2dSpec::new(3, 1, 2)).check();
+    // krows = 12·25 = 300 with a 5x5 kernel.
+    Case::new(95, (2, 12, 6, 6, 5), Conv2dSpec::new(5, 1, 2)).check();
+}
+
+#[test]
+fn in_place_unpadded_inputs_borrowed_or_copied_match_explicit_im2col() {
+    wide_pool();
+    // p = 0 and the grid is whole tiles, so the input is read in place
+    // without a copy: 1x1 on 4x8 (grid 32), and 3x3 on 5x6 (OH = 3,
+    // OW = 4, grid = 2·6 + 4 = 16).
+    Case::new(96, (3, 5, 4, 8, 6), Conv2dSpec::new(1, 1, 0)).check();
+    Case::new(97, (3, 2, 5, 6, 5), Conv2dSpec::new(3, 1, 0)).check();
+    // p = 0 with a grid ending mid-tile (7x9, 3x3: 4·9 + 7 = 43 → 48): the
+    // last image would read past the input, so it is copied into a buffer
+    // with tail slack.
+    Case::new(98, (2, 3, 7, 9, 4), Conv2dSpec::new(3, 1, 0)).check();
+}
+
+#[test]
+fn stride_one_grids_that_waste_more_than_packing_keep_packed_panels() {
+    wide_pool();
+    // 2x2 at p = 1 under 32 output channels: the grid would be 16 columns
+    // for 4 outputs, so the conv gathers into packed panels instead; 1x1
+    // likewise. Both paths must give the reference bits.
+    Case::new(100, (5, 32, 2, 2, 32), Conv2dSpec::new(3, 1, 1)).check();
+    Case::new(101, (3, 24, 1, 1, 24), Conv2dSpec::new(3, 1, 1)).check();
+}
+
+#[test]
+fn in_place_batches_at_thread_budgets_one_and_two_match_explicit_im2col() {
+    wide_pool();
+    // 2·15·12·72·90 flops ≥ PARALLEL_FLOP_THRESHOLD: budget 2 splits the
+    // 15 images into chunks of 8 and 7, so the second chunk's in-place
+    // rows start 8 padded images into the source; budget 1 runs one chunk.
+    // The grid, 9·11 + 9 = 108 → 112, ends mid-tile.
+    let case = Case::new(99, (15, 8, 10, 9, 12), Conv2dSpec::new(3, 1, 1));
+    const { assert!(2 * 15 * 12 * 72 * 90 >= PARALLEL_FLOP_THRESHOLD) };
+    with_budget(1, || case.check());
+    with_budget(2, || case.check());
+    for epilogue in [ConvEpilogue::Relu, ConvEpilogue::LeakyRelu(0.1)] {
+        let fused = |budget| {
+            with_budget(budget, || {
+                conv::conv2d_fused(&case.x, &case.weight, Some(&case.bias), case.spec, epilogue)
+            })
+        };
+        assert_bits(&format!("{epilogue:?} budget 2 vs 1"), fused(2).data(), fused(1).data());
     }
 }

@@ -129,6 +129,12 @@ proptest! {
             out.extend_from_slice(&buf);
             vecmath::vec_leaky_relu(&a, 0.2, &mut buf);
             out.extend_from_slice(&buf);
+            let mut act = a.clone();
+            vecmath::vec_relu_inplace(&mut act);
+            out.extend_from_slice(&act);
+            act.copy_from_slice(&a);
+            vecmath::vec_leaky_relu_inplace(&mut act, 0.2);
+            out.extend_from_slice(&act);
             vecmath::vec_mul(&a, &b, &mut buf);
             out.extend_from_slice(&buf);
             let mut soft = a.clone();
