@@ -130,8 +130,8 @@ fn main() {
     println!(
         "  {:.0} rps, p50 {}us, p99 {}us",
         sequential.throughput_rps(),
-        sequential.latency_percentile_us(0.5),
-        sequential.latency_percentile_us(0.99)
+        sequential.latency_percentile_us(50),
+        sequential.latency_percentile_us(99)
     );
     println!("    phases: {}", sequential.phase_summary());
 
@@ -151,8 +151,8 @@ fn main() {
             "  {}: {:.0} rps, p50 {}us, p99 {}us, mean batch {:.1}",
             config.name,
             run.throughput_rps(),
-            run.latency_percentile_us(0.5),
-            run.latency_percentile_us(0.99),
+            run.latency_percentile_us(50),
+            run.latency_percentile_us(99),
             run.mean_batch()
         );
         println!("    phases: {}", run.phase_summary());
@@ -185,7 +185,7 @@ fn main() {
 
     let batched_rps = best_run.throughput_rps();
     let batched_speedup = batched_rps / sequential.throughput_rps().max(1e-12);
-    let batched_p99_us = best_run.latency_percentile_us(0.99);
+    let batched_p99_us = best_run.latency_percentile_us(99);
     let cutoff_us = best_config.max_latency_us;
     println!(
         "best: {} at {batched_rps:.0} rps ({batched_speedup:.2}x sequential, floor \

@@ -66,14 +66,10 @@ pub struct RunResult {
     pub seconds: f64,
 }
 
-/// Nearest-rank percentile (`q` in `[0, 1]`) of `samples`; 0 when empty.
-fn percentile(mut samples: Vec<u64>, q: f64) -> u64 {
-    if samples.is_empty() {
-        return 0;
-    }
+/// Nearest-rank percentile (`pct` in 0..=100) of `samples`; 0 when empty.
+fn percentile(mut samples: Vec<u64>, pct: u64) -> u64 {
     samples.sort_unstable();
-    let rank = ((samples.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
-    samples[rank]
+    cae_trace::profile::nearest_rank(&samples, pct)
 }
 
 impl RunResult {
@@ -83,16 +79,17 @@ impl RunResult {
     }
 
     /// Latency percentile in µs over the server-measured per-request
-    /// latencies (`q` in `[0, 1]`; nearest-rank on the sorted sample).
-    pub fn latency_percentile_us(&self, q: f64) -> u64 {
-        percentile(self.predictions.iter().map(|p| p.latency_us).collect(), q)
+    /// latencies (`pct` in 0..=100; the nearest-rank order statistic,
+    /// [`cae_trace::profile::nearest_rank`]).
+    pub fn latency_percentile_us(&self, pct: u64) -> u64 {
+        percentile(self.predictions.iter().map(|p| p.latency_us).collect(), pct)
     }
 
     /// Percentile in µs of one phase (`phase` reads it off a
     /// [`PhaseBreakdown`]) over the per-request samples, by the same
     /// nearest rank.
-    pub fn phase_percentile_us(&self, phase: Phase, q: f64) -> u64 {
-        percentile(self.predictions.iter().map(|p| phase(&p.phases)).collect(), q)
+    pub fn phase_percentile_us(&self, phase: Phase, pct: u64) -> u64 {
+        percentile(self.predictions.iter().map(|p| phase(&p.phases)).collect(), pct)
     }
 
     /// Mean served batch size.
@@ -109,8 +106,8 @@ impl RunResult {
         PHASES
             .iter()
             .map(|&(name, phase)| {
-                let p50 = self.phase_percentile_us(phase, 0.5);
-                let p99 = self.phase_percentile_us(phase, 0.99);
+                let p50 = self.phase_percentile_us(phase, 50);
+                let p99 = self.phase_percentile_us(phase, 99);
                 format!("{name} p50 {p50}us p99 {p99}us")
             })
             .collect::<Vec<String>>()
@@ -245,12 +242,19 @@ mod tests {
             batch_size: 1,
             phases: Default::default(),
         };
+        // Nearest rank: the ceil(n·pct/100)-th smallest sample (rank 1 at
+        // pct 0), in integer arithmetic, so p99 is rank 99 of 100 and rank
+        // 198 of 200 with no float rounding in between.
         let run = RunResult { predictions: (1..=100).map(mk).collect(), seconds: 1.0 };
-        assert_eq!(run.latency_percentile_us(0.0), 1);
-        assert_eq!(run.latency_percentile_us(0.5), 51);
-        assert_eq!(run.latency_percentile_us(0.99), 99);
-        assert_eq!(run.latency_percentile_us(1.0), 100);
+        assert_eq!(run.latency_percentile_us(0), 1);
+        assert_eq!(run.latency_percentile_us(50), 50);
+        assert_eq!(run.latency_percentile_us(99), 99);
+        assert_eq!(run.latency_percentile_us(100), 100);
         assert!((run.throughput_rps() - 100.0).abs() < 1e-9);
+        let run = RunResult { predictions: (1..=200).map(mk).collect(), seconds: 1.0 };
+        assert_eq!(run.latency_percentile_us(50), 100);
+        assert_eq!(run.latency_percentile_us(99), 198);
+        assert_eq!(RunResult { predictions: Vec::new(), seconds: 1.0 }.latency_percentile_us(99), 0);
     }
 
     #[test]
@@ -277,11 +281,12 @@ mod tests {
         for &(name, phase) in &PHASES {
             let mut samples: Vec<u64> = run.predictions.iter().map(|p| phase(&p.phases)).collect();
             samples.sort_unstable();
-            for (q, rank) in [(0.5, 100), (0.99, 197)] {
-                let got = run.phase_percentile_us(phase, q);
-                assert_eq!(got, samples[rank], "{name} at q={q}");
-                let latency = run.latency_percentile_us(q);
-                assert!(got <= latency, "{name} at q={q}: {got}us exceeds the latency's {latency}us");
+            // 0-based indices of the ranks ceil(200·pct/100): 100 and 198.
+            for (pct, index) in [(50, 99), (99, 197)] {
+                let got = run.phase_percentile_us(phase, pct);
+                assert_eq!(got, samples[index], "{name} at p{pct}");
+                let latency = run.latency_percentile_us(pct);
+                assert!(got <= latency, "{name} at p{pct}: {got}us exceeds the latency's {latency}us");
             }
         }
         let summary = run.phase_summary();

@@ -31,8 +31,8 @@
 //! completion-handoff, which add up to the latency exactly. The bench
 //! harnesses take per-phase p50/p99 from these samples
 //! ([`RunResult::phase_percentile_us`]); when telemetry is on (`CAE_TRACE`)
-//! the same durations also feed the lock-free `serve.phase.*` histograms
-//! ([`cae_trace::metrics`]), the live exporter's view.
+//! the same durations also feed the `serve.phase.*` span stats
+//! ([`cae_trace::stat_ns`]), which the [`cae_trace::metrics`] exporter shows.
 
 pub mod bench;
 pub mod server;

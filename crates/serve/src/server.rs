@@ -34,7 +34,6 @@
 
 use cae_nn::infer::FrozenClassifier;
 use cae_tensor::Tensor;
-use cae_trace::metrics::{histogram, Histogram};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -97,8 +96,8 @@ impl ServeOptions {
 /// these samples. Each phase is the difference of two whole-µs offsets from
 /// the enqueue instant, so the four phases add up to
 /// [`Prediction::latency_us`] exactly. When telemetry is on (`CAE_TRACE`)
-/// the same intervals, in ns, also land in the `serve.phase.*` histograms
-/// for the live exporter.
+/// the same intervals, in ns, also land in the `serve.phase.*` span stats
+/// ([`cae_trace::stat_ns`]) for the live exporter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PhaseBreakdown {
     /// Enqueue until the dispatching worker drained this request.
@@ -153,27 +152,6 @@ struct QueueState {
     high_water: usize,
 }
 
-/// `&'static` handles into the `serve.phase.*` latency histograms, looked
-/// up once at server start so workers record without touching the
-/// registry lock.
-struct PhaseHistograms {
-    queue_wait: &'static Histogram,
-    assembly: &'static Histogram,
-    forward: &'static Histogram,
-    handoff: &'static Histogram,
-}
-
-impl PhaseHistograms {
-    fn intern() -> PhaseHistograms {
-        PhaseHistograms {
-            queue_wait: histogram("serve.phase.queue_wait"),
-            assembly: histogram("serve.phase.assembly"),
-            forward: histogram("serve.phase.forward"),
-            handoff: histogram("serve.phase.handoff"),
-        }
-    }
-}
-
 struct Shared {
     state: Mutex<QueueState>,
     not_empty: Condvar,
@@ -182,7 +160,6 @@ struct Shared {
     model: FrozenClassifier,
     batches: AtomicU64,
     served: AtomicU64,
-    phase_hists: PhaseHistograms,
 }
 
 /// A claim on one submitted request's eventual [`Prediction`].
@@ -234,7 +211,6 @@ impl Server {
             model,
             batches: AtomicU64::new(0),
             served: AtomicU64::new(0),
-            phase_hists: PhaseHistograms::intern(),
         });
         let workers = (0..opts.workers)
             .map(|i| {
@@ -359,13 +335,11 @@ fn worker_loop(shared: &Shared) {
             Tensor::concat0(&images)
         };
         let forward_start = Instant::now();
-        let logits = {
-            let _stat = cae_trace::span_stat("serve.forward");
-            shared.model.forward(&input)
-        };
+        let logits = shared.model.forward(&input);
         let forward_end = Instant::now();
         let assembly_ns = forward_start.duration_since(drained_at).as_nanos() as u64;
         let forward_ns = forward_end.duration_since(forward_start).as_nanos() as u64;
+        cae_trace::stat_ns("serve.forward", forward_ns);
         let classes = logits.shape().dims()[1];
         for (row, pending) in batch.iter().enumerate() {
             let row_logits = logits.data()[row * classes..(row + 1) * classes].to_vec();
@@ -379,12 +353,14 @@ fn worker_loop(shared: &Shared) {
             // row extraction and argmax above are this request's share of
             // completion work.
             let filled = Instant::now();
-            let hists = &shared.phase_hists;
             let queue_wait_ns = drained_at.duration_since(pending.enqueued).as_nanos() as u64;
-            hists.queue_wait.record_ns(queue_wait_ns);
-            hists.assembly.record_ns(assembly_ns);
-            hists.forward.record_ns(forward_ns);
-            hists.handoff.record_ns(filled.duration_since(forward_end).as_nanos() as u64);
+            cae_trace::stat_ns("serve.phase.queue_wait", queue_wait_ns);
+            cae_trace::stat_ns("serve.phase.assembly", assembly_ns);
+            cae_trace::stat_ns("serve.phase.forward", forward_ns);
+            cae_trace::stat_ns(
+                "serve.phase.handoff",
+                filled.duration_since(forward_end).as_nanos() as u64,
+            );
             // Whole-µs offsets from enqueue; flooring is monotonic, so their
             // differences are non-negative and sum to the latency exactly.
             let offset_us = |t: Instant| t.duration_since(pending.enqueued).as_micros() as u64;
@@ -441,6 +417,12 @@ mod tests {
     fn image(seed: u64) -> Tensor {
         let mut rng = cae_tensor::rng::TensorRng::seed_from(seed);
         rng.normal_tensor(&[1, 2, 6, 6], 0.0, 1.0)
+    }
+
+    /// Serializes the tests that toggle the global trace state and drain it.
+    fn trace_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     #[test]
@@ -504,9 +486,7 @@ mod tests {
 
     #[test]
     fn queue_high_water_mark_sees_bursts_the_depth_gauge_misses() {
-        // Serialize against other tests toggling the global trace state.
-        static LOCK: Mutex<()> = Mutex::new(());
-        let _l = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        let _l = trace_lock();
         cae_trace::force_enabled(true);
         let _ = cae_trace::drain();
         // A far-off latency cutoff parks all five requests; shutdown then
@@ -546,6 +526,30 @@ mod tests {
             );
         }
         server.shutdown();
+    }
+
+    #[test]
+    fn every_request_records_each_phase_as_a_span_stat() {
+        let _l = trace_lock();
+        cae_trace::force_enabled(true);
+        let _ = cae_trace::drain();
+        let opts = ServeOptions::default().with_max_batch(4).with_max_latency_us(500);
+        let server = Server::start(tiny_model(), opts);
+        let tickets: Vec<Ticket> = (0..9).map(|i| server.submit(i, image(i))).collect();
+        for t in tickets {
+            t.wait();
+        }
+        server.shutdown();
+        let trace = cae_trace::drain();
+        cae_trace::reset_to_env();
+        // At least: other tests may serve concurrently while the gate is
+        // on (and the whole suite also runs under CAE_TRACE=1).
+        let count = |name: &str| trace.span_stats.get(name).map_or(0, |s| s.count);
+        for phase in ["queue_wait", "assembly", "forward", "handoff"] {
+            let name = format!("serve.phase.{phase}");
+            assert!(count(&name) >= 9, "{name}: {} samples for 9 requests", count(&name));
+        }
+        assert!(count("serve.forward") >= 1, "the batched forward is timed once per batch");
     }
 
     #[test]

@@ -485,3 +485,28 @@ fn in_place_batches_at_thread_budgets_one_and_two_match_explicit_im2col() {
         assert_bits(&format!("{epilogue:?} budget 2 vs 1"), fused(2).data(), fused(1).data());
     }
 }
+
+#[test]
+fn stale_floats_in_the_reused_padded_buffer_never_reach_a_border() {
+    wide_pool();
+    // The padded input copy reuses the thread's workspace buffer. A larger
+    // padded conv first leaves its input — every float at least 1 — in that
+    // buffer; the smaller convs that follow on the same thread lay out a
+    // different grid over it, so a border the copy does not zero reads a
+    // stale non-zero float. One case takes the in-place grid (stride 1),
+    // one the gathered panels (stride 2).
+    let prime = || {
+        let mut rng = TensorRng::seed_from(110);
+        let x = rng.normal_tensor(&[2, 6, 21, 19], 0.0, 1.0).map(|v| v.abs() + 1.0);
+        let weight = rng.normal_tensor(&[4, 6, 3, 3], 0.0, 0.3);
+        conv::conv2d(&x, &weight, None, Conv2dSpec::new(3, 1, 2));
+    };
+    let grid = Case::new(111, (2, 3, 6, 7, 5), Conv2dSpec::new(3, 1, 1));
+    let gathered = Case::new(112, (2, 3, 9, 8, 5), Conv2dSpec::new(3, 2, 2));
+    with_budget_one(|| {
+        for case in [&grid, &gathered] {
+            prime();
+            case.check();
+        }
+    });
+}

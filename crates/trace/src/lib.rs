@@ -36,6 +36,8 @@
 //!   aggregated per-name statistics *without* recording a raw event — the
 //!   right tool for sites called millions of times per run (the GEMM
 //!   kernel), where raw events would instantly exhaust the per-thread cap.
+//!   [`stat_ns`] records a duration measured elsewhere into the same
+//!   statistics (the serve worker's per-request phases).
 //! * **Series** ([`series`]) record `(step, value)` training curves
 //!   (student/generator losses) with the same thread-local buffering and
 //!   disabled-path relaxed-load gate as spans; raw points are capped at
@@ -48,15 +50,17 @@
 //!
 //! Reads `CAE_TRACE` once on first use through the [`knob`] grammar's
 //! opt-in rule: `1`, `true`, `on` or `yes` enable tracing. [`enabled`] is
-//! the only telemetry gate: the [`metrics`] histograms record through it
-//! too. Tests and benchmarks can override with [`force_enabled`] and
-//! return to the environment's setting with [`reset_to_env`].
+//! the only telemetry gate. Tests and benchmarks can override with
+//! [`force_enabled`] and return to the environment's setting with
+//! [`reset_to_env`].
 //!
 //! ## Export
 //!
 //! [`drain`] returns a [`Trace`]; [`Trace::save`] writes the raw span
 //! events as JSONL (`trace_<stem>.jsonl`) plus an aggregated summary
-//! (`TRACE_<stem>.json`) next to the experiment report JSONs.
+//! (`TRACE_<stem>.json`) next to the experiment report JSONs. [`snapshot`]
+//! returns the same aggregates without clearing anything; the [`metrics`]
+//! exporter renders it.
 
 pub mod health;
 pub mod knob;
@@ -447,37 +451,6 @@ pub fn series_snapshot() -> Vec<SeriesEvent> {
     out
 }
 
-/// Clones every thread's counter totals and gauge statistics without
-/// clearing anything (the counters/gauges analogue of [`series_snapshot`]).
-/// The metrics exposition layer ([`metrics::snapshot`]) reads through this
-/// so a periodic exporter never steals events from the final [`drain`].
-pub fn aggregates_snapshot() -> (
-    BTreeMap<&'static str, u64>,
-    BTreeMap<&'static str, GaugeStat>,
-) {
-    let buffers: Vec<Arc<ThreadBuf>> = buffers()
-        .lock()
-        .expect("trace buffer registry poisoned")
-        .clone();
-    let mut counters: BTreeMap<&'static str, u64> = BTreeMap::new();
-    let mut gauges: BTreeMap<&'static str, GaugeStat> = BTreeMap::new();
-    for buf in buffers {
-        let inner = buf.inner.lock().expect("trace thread buffer poisoned");
-        for (&name, total) in &inner.counters {
-            *counters.entry(name).or_insert(0) += total;
-        }
-        for (&name, stat) in &inner.gauges {
-            match gauges.entry(name) {
-                std::collections::btree_map::Entry::Occupied(mut e) => e.get_mut().merge(stat),
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(*stat);
-                }
-            }
-        }
-    }
-    (counters, gauges)
-}
-
 /// Guard returned by [`span_stat`]; on drop it records the interval into
 /// the aggregated per-name span statistics only — no raw event, no parent
 /// stack. Safe for sites called millions of times per run.
@@ -501,15 +474,25 @@ pub fn span_stat(name: &'static str) -> StatSpanGuard {
 
 impl Drop for StatSpanGuard {
     fn drop(&mut self) {
-        let Some(start) = self.start.take() else {
-            return;
-        };
-        let dur_ns = start.elapsed().as_nanos() as u64;
-        BUF.with(|buf| {
-            let mut inner = buf.inner.lock().expect("trace thread buffer poisoned");
-            inner.span_stats.entry(self.name).or_default().record(dur_ns);
-        });
+        if let Some(start) = self.start.take() {
+            stat_ns(self.name, start.elapsed().as_nanos() as u64);
+        }
     }
+}
+
+/// Records one measured duration of `ns` nanoseconds into
+/// [`Trace::span_stats`] under `name`, as a [`span_stat`] guard does on
+/// drop — for intervals timed elsewhere (the serve worker's per-request
+/// phases). A no-op (one relaxed atomic load) when tracing is disabled.
+#[inline]
+pub fn stat_ns(name: &'static str, ns: u64) {
+    if !enabled() {
+        return;
+    }
+    BUF.with(|buf| {
+        let mut inner = buf.inner.lock().expect("trace thread buffer poisoned");
+        inner.span_stats.entry(name).or_default().record(ns);
+    });
 }
 
 struct ActiveSpan {
@@ -632,13 +615,33 @@ pub struct Trace {
 /// Collects and clears every thread's buffer. Threads keep recording
 /// concurrently; events recorded during the drain land in the next one.
 pub fn drain() -> Trace {
+    merge(std::mem::take)
+}
+
+/// Merges every thread's span statistics, counter totals, gauge
+/// statistics and drop counts without clearing anything; raw span events
+/// and series stay out (and stay buffered). A periodic exporter reads through this, so it
+/// never steals events from the final [`drain`].
+pub fn snapshot() -> Trace {
+    merge(|inner| Inner {
+        dropped_spans: inner.dropped_spans,
+        span_stats: inner.span_stats.clone(),
+        counters: inner.counters.clone(),
+        gauges: inner.gauges.clone(),
+        dropped_series: inner.dropped_series,
+        ..Inner::default()
+    })
+}
+
+/// Merges what `take` extracts from each thread's buffer into one trace.
+fn merge(take: impl Fn(&mut Inner) -> Inner) -> Trace {
     let mut trace = Trace::default();
     let buffers: Vec<Arc<ThreadBuf>> = buffers()
         .lock()
         .expect("trace buffer registry poisoned")
         .clone();
     for buf in buffers {
-        let inner = std::mem::take(&mut *buf.inner.lock().expect("trace thread buffer poisoned"));
+        let inner = take(&mut buf.inner.lock().expect("trace thread buffer poisoned"));
         trace.spans.extend(inner.spans);
         trace.dropped_spans += inner.dropped_spans;
         for (name, stat) in inner.span_stats {
@@ -871,7 +874,7 @@ impl Trace {
 }
 
 /// Serializes tests (across this crate's modules) that toggle the global
-/// enablement state or reset shared registries.
+/// enablement state and drain the shared buffers.
 #[cfg(test)]
 pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
@@ -905,11 +908,16 @@ mod tests {
         let _ = drain();
         {
             let _g = span("never");
+            let _s = span_stat("never_stat");
+            stat_ns("never_stat_ns", 1);
             counter("never", 3);
             gauge("never", 1.0);
         }
         let t = drain();
         assert!(t.spans_named("never").next().is_none());
+        for name in ["never", "never_stat", "never_stat_ns"] {
+            assert!(!t.span_stats.contains_key(name), "{name} recorded while disabled");
+        }
         assert!(!t.counters.contains_key("never"));
         assert!(!t.gauges.contains_key("never"));
         reset_to_env();

@@ -562,8 +562,11 @@ impl TraceDiff {
     }
 }
 
-/// Nearest-rank percentile over an ascending-sorted slice.
-fn nearest_rank(sorted: &[u64], pct: u64) -> u64 {
+/// Nearest-rank percentile (`pct` in 0..=100) over an ascending-sorted
+/// slice: the `ceil(n·pct/100)`-th smallest value (the smallest at
+/// `pct = 0`), computed in integers; 0 when empty. The one percentile
+/// definition of the workspace: profiles and the serve bench both use it.
+pub fn nearest_rank(sorted: &[u64], pct: u64) -> u64 {
     if sorted.is_empty() {
         return 0;
     }

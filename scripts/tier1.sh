@@ -74,7 +74,7 @@ test -s "$trace_tmp/profile/PROFILE_table02.txt"
 grep -q 'self-time coverage' "$trace_tmp/profile_out.txt"
 # Metrics smoke: the live exporter serve-bench starts under
 # CAE_METRICS_INTERVAL_MS turns telemetry on, so its export carries the
-# serve phase histograms and the queue gauges (it writes to ., hence the
+# serve phase span stats and the queue gauges (it writes to ., hence the
 # temp dir) — and the exposition must be byte-stable: two snapshots of the
 # same quiescent process render identical METRICS_table02.json.
 manifest="$PWD/Cargo.toml"

@@ -297,13 +297,13 @@ to PROFILE_<id>.txt under --out. With --trace it instead profiles an
 existing trace_<stem>.jsonl, no run needed.
 
 `metrics` runs the experiment with telemetry forced on, prints the run's
-counters and gauges in Prometheus text exposition format (an experiment
-records no latency histogram), and writes METRICS_<id>.json +
-metrics_<id>.prom under --out (--dup writes an independently rendered
-second copy for byte-diffing; the render is byte-stable). The serve phase
-histograms come from `serve-bench`: set CAE_METRICS_INTERVAL_MS to have it
-export METRICS_serve.json + metrics_serve.prom to . every N ms (a running
-exporter turns telemetry on).
+span stats (`_ns_sum`/`_ns_count`), counters and gauges in Prometheus text
+exposition format, and writes METRICS_<id>.json (the TRACE_<id>.json
+summary shape) + metrics_<id>.prom under --out (--dup writes an
+independently rendered second copy for byte-diffing; the render is
+byte-stable). The serve phase stats come from `serve-bench`: set
+CAE_METRICS_INTERVAL_MS to have it export METRICS_serve.json +
+metrics_serve.prom to . every N ms (a running exporter turns telemetry on).
 
 `trace-diff` aligns two saved trace_*.jsonl span trees by span name and
 prints per-span self-time deltas sorted by absolute contribution, naming

@@ -215,26 +215,22 @@ fn metrics(cmd: &Command) -> Result<(), Box<dyn Error + Send + Sync>> {
     let entry = entry_by_id(id)?;
     cae_dfkd::trace::force_enabled(true);
     cae_dfkd::trace::drain(); // observe this run only
-    cae_dfkd::trace::metrics::reset();
     let run_outcome = entry.run(&budget);
-    // Snapshot before the cleanup drain — draining consumes the counter
-    // and gauge aggregates the snapshot reads non-destructively. The
-    // optional second snapshot exists so callers can byte-diff two
-    // independently taken+rendered exports of the same quiescent state.
-    let snap = cae_dfkd::trace::metrics::snapshot();
-    let dup_snap = cmd
-        .options
-        .get("dup")
-        .map(|_| cae_dfkd::trace::metrics::snapshot());
+    // Snapshot before the cleanup drain — draining consumes the aggregates
+    // the snapshot reads non-destructively. The optional second snapshot
+    // exists so callers can byte-diff two independently taken+rendered
+    // exports of the same quiescent state.
+    let snap = cae_dfkd::trace::snapshot();
+    let dup_snap = cmd.options.get("dup").map(|_| cae_dfkd::trace::snapshot());
     cae_dfkd::trace::drain();
     cae_dfkd::trace::reset_to_env();
     run_outcome?;
 
     print!("{}", snap.prometheus_text());
-    let (json, prom) = snap.save(&out, id)?;
+    let (json, prom) = cae_dfkd::trace::metrics::save(&snap, &out, id)?;
     println!("metrics: {} + {}", json.display(), prom.display());
     if let (Some(dir), Some(dup)) = (cmd.options.get("dup"), dup_snap) {
-        let (json2, _) = dup.save(std::path::Path::new(dir), id)?;
+        let (json2, _) = cae_dfkd::trace::metrics::save(&dup, std::path::Path::new(dir), id)?;
         println!("metrics dup: {}", json2.display());
     }
     Ok(())
@@ -398,8 +394,8 @@ fn serve_bench(cmd: &Command) -> Result<(), Box<dyn Error + Send + Sync>> {
     println!(
         "  {:.0} rps, p50 {}us, p99 {}us",
         sequential.throughput_rps(),
-        sequential.latency_percentile_us(0.5),
-        sequential.latency_percentile_us(0.99)
+        sequential.latency_percentile_us(50),
+        sequential.latency_percentile_us(99)
     );
     println!("  phases: {}", sequential.phase_summary());
     println!("open loop ({clients} clients, max_batch {}, cutoff {}us) ...", opts.max_batch, opts.max_latency_us);
@@ -407,8 +403,8 @@ fn serve_bench(cmd: &Command) -> Result<(), Box<dyn Error + Send + Sync>> {
     println!(
         "  {:.0} rps, p50 {}us, p99 {}us, mean batch {:.1}",
         batched.throughput_rps(),
-        batched.latency_percentile_us(0.5),
-        batched.latency_percentile_us(0.99),
+        batched.latency_percentile_us(50),
+        batched.latency_percentile_us(99),
         batched.mean_batch()
     );
     println!("  phases: {}", batched.phase_summary());

@@ -8,7 +8,7 @@
 //! the non-test source (everything before the first `#[cfg(test)]`) for
 //! the recording-call literals `span("..")`, `span_with("..")`,
 //! `span_stat("..")`, `counter("..")`, `counters(&[".."])`,
-//! `gauge("..")`, `series("..")` and `histogram("..")`. Names assembled
+//! `gauge("..")`, `series("..")` and `stat_ns("..")`. Names assembled
 //! at run time (the `gemm.backend.<backend>` counters) are invisible to
 //! it and are documented in the table by pattern instead.
 
@@ -24,7 +24,7 @@ const CALLS: [&str; 8] = [
     "counter(",
     "gauge(",
     "series(",
-    "histogram(",
+    "stat_ns(",
     "counters(&[",
 ];
 
@@ -192,19 +192,9 @@ fn every_telemetry_row_names_a_recorded_metric() {
 #[test]
 fn telemetry_table_documents_the_histograms_and_dynamic_counters() {
     let section = telemetry_section();
-    // The four serve phase histograms and the dynamically named GEMM
-    // backend counters must stay documented even though only the former
-    // are scanner-visible.
-    for needle in [
-        "`serve.phase.queue_wait`",
-        "`serve.phase.assembly`",
-        "`serve.phase.forward`",
-        "`serve.phase.handoff`",
-        "`serve.queue_high_water`",
-        "gemm.backend.",
-    ] {
-        assert!(section.contains(needle), "Telemetry section lost {needle}");
-    }
+    // The dynamically named GEMM backend counters are invisible to the
+    // scanner, so the two-way check above cannot keep them documented.
+    assert!(section.contains("gemm.backend."), "Telemetry section lost gemm.backend.");
 }
 
 /// The one module allowed to read the environment.
