@@ -3,23 +3,27 @@
 //!
 //! * every traced report is byte-identical to its untraced partner —
 //!   tracing is observational and must not perturb a single result;
-//! * the median per-pair overhead of the enabled run over the disabled one
-//!   is at most [`OVERHEAD_CAP_PCT`] of process CPU time.
+//! * the balanced overhead of the enabled run over the disabled one (see
+//!   below) is at most [`OVERHEAD_CAP_PCT`] of process CPU time.
 //!
 //! A broken contract panics, so the bin exits non-zero. Both configurations
-//! run in this process, switched with `cae_trace::force_enabled` as
-//! `cae-dfkd profile` does; an untimed warm-up run first populates the
-//! process-global teacher cache so the timed runs are comparable. The
-//! disabled run exercises the fully instrumented build with every recording
-//! call short-circuiting on one relaxed atomic load.
+//! run in this process, switched with `cae_trace::force_enabled`; an
+//! untimed warm-up run first populates the process-global teacher cache so
+//! the timed runs are comparable. The disabled run exercises the fully
+//! instrumented build with every recording call short-circuiting on one
+//! relaxed atomic load.
 //!
 //! One table02 run's wall clock varies by 10% or more between identical
 //! runs on a loaded host — time the process waits for a core counts, and
 //! tracing costs CPU, not waiting — so the gate reads the process's CPU
 //! time (`getrusage`, every thread) and prints the wall clock beside it.
-//! A single pair still cannot resolve a 3% bound: the bin times [`PAIRS`]
-//! pairs, alternating which side runs first so drift in host speed falls
-//! on both sides, and gates the median of the per-pair CPU overheads.
+//! A single pair still cannot resolve a 3% bound, and the second run of a
+//! pair tends to be the faster one by more than the cap. So the bin times
+//! an even number of pairs, [`PAIRS`], half with the disabled run first
+//! and half with the enabled run first, takes the median overhead within
+//! each order, and gates the mean of the two medians: a run-order effect
+//! adds to one median what it takes from the other and cancels. Half the
+//! medians' difference is that order effect, and it is printed.
 //!
 //! Budget defaults to `smoke`; override with `CAE_BUDGET=smoke|fast|full`.
 //! Run with `cargo run --release -p cae-bench --bin bench_trace`.
@@ -34,8 +38,9 @@ const DEFAULT_BUDGET: &str = "smoke";
 /// Cap on the median enabled-vs-disabled CPU-time overhead, in percent.
 const OVERHEAD_CAP_PCT: f64 = 3.0;
 
-/// Untraced/traced pairs timed; odd so the median is one measured pair.
-const PAIRS: usize = 5;
+/// Untraced/traced pairs timed: even, so each run order gets half, and
+/// odd within each order, so each per-order median is one measured pair.
+const PAIRS: usize = 6;
 
 /// One timed table02 run.
 struct Run {
@@ -100,17 +105,29 @@ fn main() {
     }
     cae_trace::reset_to_env();
 
-    let median = |mut v: Vec<f64>| {
-        v.sort_by(f64::total_cmp);
-        v[PAIRS / 2]
-    };
-    let (cpu_pct, wall_pct) = (median(cpu_overheads), median(wall_overheads));
+    let (cpu_pct, cpu_order) = balanced(&cpu_overheads);
+    let (wall_pct, wall_order) = balanced(&wall_overheads);
     println!(
-        "  median overhead: cpu {cpu_pct:+.2}% (cap {OVERHEAD_CAP_PCT}%), wall {wall_pct:+.2}% \
-         (not gated), reports identical"
+        "  balanced overhead: cpu {cpu_pct:+.2}% (cap {OVERHEAD_CAP_PCT}%, order effect \
+         {cpu_order:+.2} pts), wall {wall_pct:+.2}% (not gated, order effect {wall_order:+.2} pts), \
+         reports identical"
     );
     assert!(
         cpu_pct <= OVERHEAD_CAP_PCT,
-        "median tracing CPU overhead {cpu_pct:.2}% exceeds the {OVERHEAD_CAP_PCT}% cap"
+        "balanced tracing CPU overhead {cpu_pct:.2}% exceeds the {OVERHEAD_CAP_PCT}% cap"
     );
+}
+
+/// `(mean of the two per-order medians, half their difference)` of
+/// per-pair overheads whose even indices ran the disabled side first and
+/// odd indices the enabled side first. The second figure is the run-order
+/// effect, positive when the run that goes second is the faster one.
+fn balanced(overheads: &[f64]) -> (f64, f64) {
+    let median = |first: usize| {
+        let mut v: Vec<f64> = overheads.iter().skip(first).step_by(2).copied().collect();
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    let (disabled_first, enabled_first) = (median(0), median(1));
+    ((disabled_first + enabled_first) / 2.0, (enabled_first - disabled_first) / 2.0)
 }

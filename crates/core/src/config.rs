@@ -256,7 +256,7 @@ impl Config {
             ConfigEntry { var: "CAE_SIMD", values: "`scalar`/`avx2`/`neon`", default: "auto-detect", doc: "SIMD backend for all f32 kernels; unsupported requests fall back to detection. All backends are bit-identical." },
             ConfigEntry { var: "CAE_NUM_THREADS", values: "integer ≥ 1", default: "all cores", doc: "Tensor-pool parallelism (kernel and cell levels share the pool cooperatively)." },
             ConfigEntry { var: "CAE_TRACE", values: "bool (`1`/`true`/`on`/`yes` enable)", default: "off", doc: "The one telemetry switch: spans, span stats, counters, gauges and series." },
-            ConfigEntry { var: "CAE_METRICS_INTERVAL_MS", values: "integer ≥ 1", default: "off", doc: "Period of the live metrics exporter `cae-dfkd serve-bench` starts: rewrites `METRICS_serve.json`/`metrics_serve.prom` every N ms (a running exporter turns telemetry on)." },
+            ConfigEntry { var: "CAE_METRICS_INTERVAL_MS", values: "integer ≥ 1", default: "off", doc: "Period of the live metrics exporter `cae-dfkd serve-bench` starts: rewrites the `TRACE_serve.json` summary every N ms (a running exporter turns telemetry on)." },
             ConfigEntry { var: "CAE_CELL_PARALLEL", values: "bool (off-tokens disable)", default: "on", doc: "Fan experiment cells out across the pool; off runs cells serially with kernel parallelism inside each." },
             ConfigEntry { var: "CAE_CELL_RETRIES", values: "integer ≥ 0", default: "0", doc: "Re-runs of a panicked cell (identical derived seed, so recovery is byte-identical)." },
             ConfigEntry { var: "CAE_FAULT_INJECT", values: "`<prob>:<seed>`", default: "off", doc: "Deterministic panic injection at cell-attempt entry, for testing the recovery path." },

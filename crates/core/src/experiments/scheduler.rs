@@ -70,7 +70,7 @@ static FORCED_CELL_PARALLEL: std::sync::atomic::AtomicU8 = std::sync::atomic::At
 /// `CAE_CELL_PARALLEL` snapshot in [`crate::config::Config`]; `None`
 /// restores the config value. This is the supported way for one process to
 /// compare serial and parallel scheduling (the serial-vs-parallel
-/// byte-identity test, the profiler's serial mode) — the environment is
+/// byte-identity test) — the environment is
 /// parsed once per process and mutating it after startup has no effect.
 pub fn force_cell_parallelism(value: Option<bool>) {
     let encoded = match value {

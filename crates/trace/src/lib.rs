@@ -17,7 +17,7 @@
 //! Tracing is observational only: it never touches RNG state or model
 //! state, so reports are byte-identical with tracing on and off (enforced
 //! by `scripts/tier1.sh` and the `bench_trace` benchmark, which also fails
-//! when enabling tracing costs more than 3% wall-clock).
+//! when enabling tracing costs more than 3% of process CPU time).
 //!
 //! ## Model
 //!
@@ -25,9 +25,9 @@
 //!   They nest per thread: a span opened while another span on the same
 //!   thread is active records it as its parent, giving a per-thread tree.
 //!   Spans carry static names plus optional tags (e.g. a cell index and
-//!   its RNG seed). Raw span events are capped at 65 536 per thread
-//!   (the profiler raises the cap); overflow is counted, and aggregated
-//!   per-name statistics are always exact.
+//!   its RNG seed). Raw span events are capped at 65 536 per thread;
+//!   overflow is counted, and aggregated per-name statistics are always
+//!   exact.
 //! * **Counters** ([`counter`], [`counters`]) accumulate monotonically
 //!   (GEMM calls, FLOPs, cache hits).
 //! * **Gauges** ([`gauge`]) sample a scalar (pool task count per job);
@@ -58,9 +58,8 @@
 //!
 //! [`drain`] returns a [`Trace`]; [`Trace::save`] writes the raw span
 //! events as JSONL (`trace_<stem>.jsonl`) plus an aggregated summary
-//! (`TRACE_<stem>.json`) next to the experiment report JSONs. [`snapshot`]
-//! returns the same aggregates without clearing anything; the [`metrics`]
-//! exporter renders it.
+//! (`TRACE_<stem>.json`) next to the experiment report JSONs. [`snapshot`] returns the same aggregates without clearing
+//! anything; the [`metrics`] exporter writes its summary.
 
 pub mod health;
 pub mod knob;
@@ -71,7 +70,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -303,19 +302,8 @@ fn buffers() -> &'static Mutex<Vec<Arc<ThreadBuf>>> {
     BUFFERS.get_or_init(|| Mutex::new(Vec::new()))
 }
 
-/// Default per-thread cap for span events and for series points.
-const DEFAULT_CAP: usize = 65_536;
-
-/// The per-thread span-event cap: [`DEFAULT_CAP`] until
-/// [`raise_event_cap`] raises it.
-static MAX_EVENTS: AtomicUsize = AtomicUsize::new(DEFAULT_CAP);
-
-/// Raises the per-thread span-event cap to at least `n`; never lowers it.
-/// Used by the profiler, whose forced-on traces would otherwise truncate at
-/// the default cap.
-pub fn raise_event_cap(n: usize) {
-    MAX_EVENTS.fetch_max(n, Ordering::Relaxed);
-}
+/// Per-thread cap for span events and for series points.
+const THREAD_CAP: usize = 65_536;
 
 thread_local! {
     static BUF: Arc<ThreadBuf> = {
@@ -397,7 +385,7 @@ pub fn series(name: &'static str, step: u64, value: f64) {
     }
     BUF.with(|buf| {
         let mut inner = buf.inner.lock().expect("trace thread buffer poisoned");
-        if inner.series.len() < DEFAULT_CAP {
+        if inner.series.len() < THREAD_CAP {
             inner.series.push(SeriesEvent { name, step, value });
         } else {
             inner.dropped_series += 1;
@@ -571,7 +559,7 @@ impl Drop for SpanGuard {
                 .entry(active.name)
                 .or_default()
                 .record(dur_ns);
-            if inner.spans.len() < MAX_EVENTS.load(Ordering::Relaxed) {
+            if inner.spans.len() < THREAD_CAP {
                 let thread = buf.thread;
                 inner.spans.push(SpanEvent {
                     name: active.name,
@@ -864,12 +852,24 @@ impl Trace {
     /// # Errors
     /// Returns any I/O error from creating the directory or writing.
     pub fn save(&self, dir: &Path, stem: &str) -> std::io::Result<(PathBuf, PathBuf)> {
-        std::fs::create_dir_all(dir)?;
+        let summary = self.save_summary(dir, stem)?;
         let jsonl = dir.join(format!("trace_{stem}.jsonl"));
         std::fs::write(&jsonl, self.to_jsonl())?;
+        Ok((jsonl, summary))
+    }
+
+    /// Writes [`Trace::summary_json`] to `dir/TRACE_<stem>.json`, creating
+    /// `dir` first, and returns the path. The one place the summary file
+    /// is named: [`Trace::save`] and the [`metrics`] exporter both write
+    /// through it.
+    ///
+    /// # Errors
+    /// Returns any I/O error from creating the directory or writing.
+    pub(crate) fn save_summary(&self, dir: &Path, stem: &str) -> std::io::Result<PathBuf> {
+        std::fs::create_dir_all(dir)?;
         let summary = dir.join(format!("TRACE_{stem}.json"));
         std::fs::write(&summary, self.summary_json())?;
-        Ok((jsonl, summary))
+        Ok(summary)
     }
 }
 
@@ -888,17 +888,6 @@ mod tests {
     /// Serializes tests that toggle the global enablement state.
     fn lock() -> std::sync::MutexGuard<'static, ()> {
         test_lock()
-    }
-
-    #[test]
-    fn event_cap_raises_but_never_lowers() {
-        let cap = || MAX_EVENTS.load(Ordering::Relaxed);
-        let before = cap();
-        assert!(before >= DEFAULT_CAP, "cap starts at the default");
-        raise_event_cap(before + 1024);
-        assert!(cap() >= before + 1024);
-        raise_event_cap(1);
-        assert!(cap() >= before + 1024, "raise_event_cap never lowers");
     }
 
     #[test]
@@ -1112,17 +1101,19 @@ mod tests {
 
     #[test]
     fn span_cap_counts_dropped_events() {
-        // The cap is read from the env once per process; this test only
-        // checks the accounting path stays consistent with a huge burst.
+        // One burst past this thread's fixed cap: the overflow is dropped
+        // and counted, and the per-name statistics stay exact.
         let _l = lock();
         force_enabled(true);
         let _ = drain();
-        for _ in 0..128 {
+        for _ in 0..=THREAD_CAP {
             let _g = span("burst");
         }
         let t = drain();
         force_enabled(false);
         reset_to_env();
+        assert_eq!(t.span_stats["burst"].count, THREAD_CAP as u64 + 1);
+        assert!(t.dropped_spans >= 1 && t.truncated());
         assert_eq!(
             t.span_stats["burst"].count,
             t.spans_named("burst").count() as u64 + t.dropped_spans

@@ -1,21 +1,17 @@
-//! Live telemetry: a byte-stable exposition of the trace aggregates and a
-//! periodic exporter for watching a long serve run from outside the
-//! process.
+//! Live telemetry: a periodic exporter for watching a long serve run from
+//! outside the process.
 //!
 //! There is one telemetry model: the crate-root span statistics, counters
 //! and gauges. [`crate::snapshot`] merges them across thread buffers
-//! without clearing anything, and this module renders that [`Trace`] two
-//! ways:
-//!
-//! * `METRICS_<stem>.json` — [`Trace::summary_json`], the same renderer
-//!   that writes `TRACE_<stem>.json`;
-//! * `metrics_<stem>.prom` — [`Trace::prometheus_text`], Prometheus-style
-//!   text exposition: span statistics as `cae_<name>_ns_sum` /
-//!   `_ns_count`, counters and gauges by value.
-//!
-//! All maps are name-ordered and integers dominate, so two snapshots of a
-//! quiescent process render byte-identically. [`start_exporter`] rewrites
-//! both files every `CAE_METRICS_INTERVAL_MS` milliseconds.
+//! without clearing anything, and [`start_exporter`] writes that
+//! [`crate::Trace`] every `CAE_METRICS_INTERVAL_MS` milliseconds as
+//! `TRACE_<stem>.json`, the summary view a traced `cae-dfkd table` run
+//! also writes, through the function [`crate::Trace::save`] writes it
+//! with. All maps are name-ordered and
+//! integers dominate, so two snapshots of a quiescent process render
+//! byte-identically. A snapshot holds no raw span events or series, so
+//! its export reports zero `span_events`/`series_points` and an empty
+//! `series`; its drop counts, and so `truncated`, are the run's.
 //!
 //! ## Enablement
 //!
@@ -24,12 +20,9 @@
 //! period; starting an exporter turns the gate on, so an export carries
 //! span statistics, counters and gauges alike.
 
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Duration;
-
-use crate::Trace;
 
 /// The crate-root gate overrides, kept at this path for callers that
 /// predate the single gate.
@@ -42,72 +35,13 @@ pub fn interval_ms() -> Option<u64> {
     *INTERVAL.get_or_init(|| crate::knob::positive("CAE_METRICS_INTERVAL_MS").map(|ms| ms as u64))
 }
 
-/// `name` → Prometheus metric identifier: `cae_` prefix, every
-/// non-alphanumeric character folded to `_`.
-fn metric_ident(name: &str) -> String {
-    let mut out = String::with_capacity(name.len() + 4);
-    out.push_str("cae_");
-    for c in name.chars() {
-        out.push(if c.is_ascii_alphanumeric() { c } else { '_' });
-    }
-    out
-}
-
-impl Trace {
-    /// Renders the aggregates as Prometheus-style exposition text: each
-    /// span statistic as a `summary` with `_ns_sum` and `_ns_count`, each
-    /// counter by its total, each gauge by its last sample. Byte-stable:
-    /// maps are name-ordered and gauge values use the shortest round-trip
-    /// float form.
-    pub fn prometheus_text(&self) -> String {
-        let mut out = String::new();
-        for (name, st) in &self.span_stats {
-            let ident = metric_ident(name);
-            let _ = writeln!(out, "# TYPE {ident}_ns summary");
-            let _ = writeln!(out, "{ident}_ns_sum {}", st.total_ns);
-            let _ = writeln!(out, "{ident}_ns_count {}", st.count);
-        }
-        for (name, total) in &self.counters {
-            let ident = metric_ident(name);
-            let _ = writeln!(out, "# TYPE {ident} counter");
-            let _ = writeln!(out, "{ident} {total}");
-        }
-        for (name, g) in &self.gauges {
-            let ident = metric_ident(name);
-            let _ = writeln!(out, "# TYPE {ident} gauge");
-            let mut v = String::new();
-            crate::json_f64(g.last, &mut v);
-            let _ = writeln!(out, "{ident} {v}");
-        }
-        out
-    }
-}
-
-/// Writes `METRICS_<stem>.json` ([`Trace::summary_json`]) and
-/// `metrics_<stem>.prom` ([`Trace::prometheus_text`]) of `snap` into
-/// `dir`, creating it first. Returns both paths. A [`crate::snapshot`]
-/// holds no raw span events or series, so its JSON reports zero
-/// `span_events`/`series_points` and an empty `series`; its drop counts,
-/// and so `truncated`, are the run's.
-///
-/// # Errors
-/// Returns any I/O error from creating the directory or writing.
-pub fn save(snap: &Trace, dir: &Path, stem: &str) -> std::io::Result<(PathBuf, PathBuf)> {
-    std::fs::create_dir_all(dir)?;
-    let json = dir.join(format!("METRICS_{stem}.json"));
-    std::fs::write(&json, snap.summary_json())?;
-    let prom = dir.join(format!("metrics_{stem}.prom"));
-    std::fs::write(&prom, snap.prometheus_text())?;
-    Ok((json, prom))
-}
-
 // ---------------------------------------------------------------------------
 // Periodic exporter
 // ---------------------------------------------------------------------------
 
 /// Handle to a running in-process exporter thread; stop it with
 /// [`Exporter::stop`] (dropping the handle detaches the thread, which is
-/// harmless — it only ever rewrites the export files).
+/// harmless — it only ever rewrites the export file).
 pub struct Exporter {
     stop: Arc<(Mutex<bool>, Condvar)>,
     handle: std::thread::JoinHandle<()>,
@@ -117,26 +51,25 @@ pub struct Exporter {
 
 impl Exporter {
     /// Signals the exporter thread, joins it, and writes one final
-    /// snapshot so the files on disk reflect the complete run. Returns
-    /// the `(json, prom)` paths.
+    /// snapshot so the file on disk reflects the complete run. Returns
+    /// its path.
     ///
     /// # Errors
     /// Returns any I/O error from the final write.
-    pub fn stop(self) -> std::io::Result<(PathBuf, PathBuf)> {
+    pub fn stop(self) -> std::io::Result<PathBuf> {
         {
             let (flag, cv) = &*self.stop;
             *flag.lock().expect("exporter stop flag poisoned") = true;
             cv.notify_all();
         }
         let _ = self.handle.join();
-        save(&crate::snapshot(), &self.dir, &self.stem)
+        crate::snapshot().save_summary(&self.dir, &self.stem)
     }
 }
 
 /// Starts the periodic exporter if `CAE_METRICS_INTERVAL_MS` is set:
-/// every interval it rewrites `METRICS_<stem>.json` / `metrics_<stem>.prom`
-/// under `dir`. Returns `None` (and starts nothing) when no interval is
-/// configured. Starting an exporter force-enables the telemetry gate for
+/// every interval it rewrites `TRACE_<stem>.json` under `dir`. Returns
+/// `None` (and starts nothing) when no interval is configured. Starting an exporter force-enables the telemetry gate for
 /// the process — an exporter over empty aggregates is useless.
 pub fn start_exporter(dir: &Path, stem: &str) -> Option<Exporter> {
     let every = Duration::from_millis(interval_ms()?);
@@ -166,7 +99,7 @@ pub fn start_exporter_every(dir: &Path, stem: &str, every: Duration) -> Exporter
                 }
                 // Export errors are non-fatal: telemetry must never take
                 // down the serving process it observes.
-                let _ = save(&crate::snapshot(), &thread_dir, &thread_stem);
+                let _ = crate::snapshot().save_summary(&thread_dir, &thread_stem);
             }
         })
         .expect("spawning metrics exporter thread");
@@ -222,7 +155,7 @@ mod tests {
         let _l = lock();
         force_enabled(true);
         let _ = crate::drain();
-        for step in 0..=crate::DEFAULT_CAP as u64 {
+        for step in 0..=crate::THREAD_CAP as u64 {
             crate::series("metrics.test.overflow", step, 0.0);
         }
         let s = crate::snapshot();
@@ -248,16 +181,8 @@ mod tests {
         let _ = crate::drain();
         force_enabled(false);
         reset_to_env();
-        // Two snapshots of a quiescent process render byte-identically
-        // (the tier-1 METRICS byte-diff).
+        // Two snapshots of a quiescent process render byte-identically.
         assert_eq!(a.summary_json(), b.summary_json());
-        assert_eq!(a.prometheus_text(), b.prometheus_text());
-        let prom = a.prometheus_text();
-        assert!(prom.contains("# TYPE cae_metrics_render_ns summary\n"), "{prom}");
-        assert!(prom.contains("\ncae_metrics_render_ns_sum 1800\n"), "{prom}");
-        assert!(prom.contains("\ncae_metrics_render_ns_count 1\n"), "{prom}");
-        assert!(prom.contains("# TYPE cae_metrics_render_counter counter\ncae_metrics_render_counter 3\n"));
-        assert!(prom.contains("# TYPE cae_metrics_render_gauge gauge\ncae_metrics_render_gauge 0.5\n"));
         let json = a.summary_json();
         assert!(json.contains("\"metrics.render\": {\"count\": 1, \"total_ns\": 1800"), "{json}");
     }
@@ -275,12 +200,11 @@ mod tests {
         crate::stat_ns("metrics.test.exporter", 4242);
         crate::gauge("metrics.test.exported", 1.5);
         std::thread::sleep(Duration::from_millis(30));
-        let (json, prom) = exporter.stop().expect("final export succeeds");
+        let json = exporter.stop().expect("final export succeeds");
         let _ = crate::drain();
         force_enabled(false);
         reset_to_env();
-        assert!(json.ends_with("METRICS_demo.json") && json.exists());
-        assert!(prom.ends_with("metrics_demo.prom") && prom.exists());
+        assert!(json.ends_with("TRACE_demo.json") && json.exists());
         let body = std::fs::read_to_string(&json).expect("readable");
         assert!(body.contains("\"metrics.test.exporter\": {\"count\": 1, \"total_ns\": 4242"), "{body}");
         assert!(body.contains("\"metrics.test.exported\": {\"count\": 1, \"last\": 1.5"), "{body}");

@@ -243,47 +243,60 @@ impl Profile {
         Ok(Profile::from_spans(spans))
     }
 
-    /// The root node of the `experiment` span, when one was recorded.
-    pub fn experiment_root(&self) -> Option<&ProfileNode> {
+    /// Index of the `experiment` root, when one was recorded.
+    fn experiment_index(&self) -> Option<usize> {
         self.roots
             .iter()
-            .map(|&r| &self.nodes[r])
-            .find(|n| n.span.name == "experiment")
+            .copied()
+            .find(|&r| self.nodes[r].span.name == "experiment")
     }
 
-    /// `(experiment duration, summed self time of its subtree)` — with a
-    /// complete (untruncated) single-tree trace the two agree exactly, so
-    /// the self-time table provably accounts for all wall-clock.
-    pub fn experiment_coverage(&self) -> Option<(u64, u64)> {
-        let root = self
-            .roots
-            .iter()
-            .copied()
-            .find(|&r| self.nodes[r].span.name == "experiment")?;
+    /// The root node of the `experiment` span, when one was recorded.
+    pub fn experiment_root(&self) -> Option<&ProfileNode> {
+        self.experiment_index().map(|r| &self.nodes[r])
+    }
+
+    /// Summed self time of the subtree under node `root`.
+    fn subtree_self_ns(&self, root: usize) -> u64 {
         let mut stack = vec![root];
         let mut self_sum = 0u64;
         while let Some(i) = stack.pop() {
             self_sum += self.nodes[i].self_ns;
             stack.extend_from_slice(&self.nodes[i].children);
         }
-        Some((self.nodes[root].span.dur_ns, self_sum))
+        self_sum
+    }
+
+    /// `(experiment duration, summed self time of its subtree)` — with a
+    /// complete (untruncated) trace the two agree exactly, so the
+    /// experiment tree's rows provably account for its wall-clock.
+    pub fn experiment_coverage(&self) -> Option<(u64, u64)> {
+        let root = self.experiment_index()?;
+        Some((self.nodes[root].span.dur_ns, self.subtree_self_ns(root)))
+    }
+
+    /// `(root count, summed self time)` of the span trees outside the
+    /// `experiment` tree; `None` without an experiment root. Under
+    /// parallel cells a pool thread has no span open when it picks up a
+    /// cell, so that cell roots its own tree and runs concurrently with
+    /// the experiment span. This self time plus the experiment subtree's
+    /// is what the self-time table's rows sum to.
+    pub(crate) fn outside_experiment(&self) -> Option<(usize, u64)> {
+        let exp = self.experiment_index()?;
+        let others: Vec<usize> = self.roots.iter().copied().filter(|&r| r != exp).collect();
+        Some((others.len(), others.iter().map(|&r| self.subtree_self_ns(r)).sum()))
     }
 
     /// The critical path from the `experiment` root (falling back to the
     /// longest root): at each level, descend into the heaviest child.
     /// Returns `(name, dur_ns)` pairs from the root down.
     pub fn critical_path(&self) -> Vec<(String, u64)> {
-        let start = self
-            .roots
-            .iter()
-            .copied()
-            .find(|&r| self.nodes[r].span.name == "experiment")
-            .or_else(|| {
-                self.roots
-                    .iter()
-                    .copied()
-                    .max_by_key(|&r| self.nodes[r].span.dur_ns)
-            });
+        let start = self.experiment_index().or_else(|| {
+            self.roots
+                .iter()
+                .copied()
+                .max_by_key(|&r| self.nodes[r].span.dur_ns)
+        });
         let mut path = Vec::new();
         let mut cursor = start;
         while let Some(i) = cursor {
@@ -374,6 +387,14 @@ impl Profile {
                 "self-time coverage: {:.2}% of the experiment span ({:.2}s)",
                 pct,
                 root_ns as f64 / 1e9
+            );
+        }
+        if let Some((roots, outside_ns)) = self.outside_experiment() {
+            let _ = writeln!(
+                out,
+                "outside the experiment span: {roots} root span(s), {:.2}s self time; rows sum to {:.2}s",
+                outside_ns as f64 / 1e9,
+                total_self as f64 / 1e9
             );
         }
         let path = self.critical_path();
@@ -1005,6 +1026,28 @@ mod tests {
         let exp_pos = table.find("experiment").expect("experiment row");
         assert!(cell_pos < exp_pos, "650ns self beats 150ns self:\n{table}");
         assert!(table.contains("self-time coverage: 100.00%"));
+        assert!(table.contains("outside the experiment span: 0 root span(s), 0.00s self time"));
         assert!(table.contains("critical path: experiment"));
+    }
+
+    #[test]
+    fn orphan_root_self_time_is_reported_outside_the_experiment() {
+        // A cell a pool thread ran has no open parent there: it roots its
+        // own tree beside the experiment's, and its self time must show.
+        let s = 1_000_000_000;
+        let mut spans = sample_spans();
+        spans.push(span("scheduler.cell", 7, None, 30, 3 * s));
+        spans.push(span("trainer.step", 8, Some(7), 40, s));
+        let p = Profile::from_spans(spans);
+        assert_eq!(p.roots.len(), 2);
+        assert_eq!(p.experiment_coverage(), Some((1000, 1000)));
+        assert_eq!(p.outside_experiment(), Some((1, 3 * s)));
+        let rows: u64 = p.stats.values().map(|st| st.self_ns).sum();
+        assert_eq!(rows, 1000 + 3 * s, "experiment tree + outside = rows");
+        let table = p.self_time_table();
+        let line = "outside the experiment span: 1 root span(s), 3.00s self time; rows sum to 3.00s";
+        assert!(table.contains(line), "{table}");
+        let no_experiment = Profile::from_spans(vec![span("cell", 1, None, 0, 5)]);
+        assert_eq!(no_experiment.outside_experiment(), None);
     }
 }

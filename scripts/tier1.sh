@@ -32,15 +32,27 @@ cargo test --release --offline -p cae-tensor --test implicit_conv -q
 CAE_SIMD=scalar cargo test --release --offline -p cae-tensor --test grad_demand -q
 cargo test --release --offline -p cae-tensor --test grad_demand -q
 # ... and a traced table run must reproduce the untraced report
-# byte-for-byte.
+# byte-for-byte, while rendering every telemetry view of the run: the
+# trace, the flamegraph-folded profile, a self-time table that accounts
+# for the experiment span and a training-health verdict.
 trace_tmp="$(mktemp -d)"
 trap 'rm -rf "$trace_tmp"' EXIT
 CAE_TRACE=0 cargo run --release --offline -- \
   table table02 --budget smoke --out "$trace_tmp/off" >/dev/null
 CAE_TRACE=1 cargo run --release --offline -- \
-  table table02 --budget smoke --out "$trace_tmp/on" >/dev/null
+  table table02 --budget smoke --out "$trace_tmp/on" >"$trace_tmp/on_out.txt"
 cmp "$trace_tmp/off/table_ii.json" "$trace_tmp/on/table_ii.json"
 test -s "$trace_tmp/on/TRACE_table_ii.json"
+test -s "$trace_tmp/on/PROFILE_table_ii.txt"
+grep -q 'self-time coverage' "$trace_tmp/on_out.txt"
+grep -q 'verdict:' "$trace_tmp/on_out.txt"
+# Table IX counts epochs, not seconds: its report must not depend on the
+# thread count either.
+CAE_NUM_THREADS=1 cargo run --release --offline -- \
+  table table09 --budget smoke --out "$trace_tmp/t9_1t" >/dev/null
+CAE_NUM_THREADS=2 cargo run --release --offline -- \
+  table table09 --budget smoke --out "$trace_tmp/t9_2t" >/dev/null
+cmp "$trace_tmp/t9_1t/table_ix.json" "$trace_tmp/t9_2t/table_ix.json"
 # Backend bit-identity end to end: a scalar-forced table run must reproduce
 # the auto-detected report byte-for-byte.
 CAE_TRACE=0 CAE_SIMD=scalar cargo run --release --offline -- \
@@ -66,26 +78,15 @@ grep -q 'health:' "$trace_tmp/fault/table_ii.json"
 CAE_TRACE=0 CAE_FAULT_INJECT=0.2:7 CAE_CELL_RETRIES=20 cargo run --release --offline -- \
   table table02 --budget smoke --out "$trace_tmp/retry" >/dev/null
 cmp "$trace_tmp/off/table_ii.json" "$trace_tmp/retry/table_ii.json"
-# Profiler smoke: `profile <id>` must produce flamegraph-folded stacks and
-# a self-time table that accounts for the experiment span's wall-clock.
-cargo run --release --offline -- profile table02 --budget smoke \
-  --out "$trace_tmp/profile" | tee "$trace_tmp/profile_out.txt" >/dev/null
-test -s "$trace_tmp/profile/PROFILE_table02.txt"
-grep -q 'self-time coverage' "$trace_tmp/profile_out.txt"
-# Metrics smoke: the live exporter serve-bench starts under
-# CAE_METRICS_INTERVAL_MS turns telemetry on, so its export carries the
-# serve phase span stats and the queue gauges (it writes to ., hence the
-# temp dir) — and the exposition must be byte-stable: two snapshots of the
-# same quiescent process render identical METRICS_table02.json.
+# Live-export smoke: the exporter serve-bench starts under
+# CAE_METRICS_INTERVAL_MS turns telemetry on, so its TRACE_serve.json
+# carries the serve phase span stats and the queue gauges (it writes to .,
+# hence the temp dir).
 manifest="$PWD/Cargo.toml"
 (cd "$trace_tmp" && CAE_METRICS_INTERVAL_MS=200 cargo run --release --offline \
   --manifest-path "$manifest" -- serve-bench --budget smoke --requests 200 >/dev/null)
-grep -q '"serve.phase.forward": {"count"' "$trace_tmp/METRICS_serve.json"
-grep -q '"serve.queue_depth": {"count"' "$trace_tmp/METRICS_serve.json"
-cargo run --release --offline -- metrics table02 --budget smoke \
-  --out "$trace_tmp/m1" --dup "$trace_tmp/m2" >/dev/null
-cmp "$trace_tmp/m1/METRICS_table02.json" "$trace_tmp/m2/METRICS_table02.json"
-grep -q 'cae_serve_phase\|cae_gemm_calls' "$trace_tmp/m1/metrics_table02.prom"
+grep -q '"serve.phase.forward": {"count"' "$trace_tmp/TRACE_serve.json"
+grep -q '"serve.queue_depth": {"count"' "$trace_tmp/TRACE_serve.json"
 # Serving smoke: a tiny pretrained student served over a simulated request
 # trace must keep byte-identical predictions across batching configurations
 # and hold the serve contract (batched speedup, p99, int8 delta);

@@ -14,16 +14,17 @@ use std::fmt;
 use std::path::PathBuf;
 
 /// A parsed command line: subcommand, up to two leading positional
-/// arguments (`cae-dfkd profile table02`,
+/// arguments (`cae-dfkd table table02`,
 /// `cae-dfkd trace-diff base.jsonl cur.jsonl`) and `--key value` options.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Command {
-    /// The subcommand (`distill`, `evaluate`, `transfer`, `table`,
-    /// `profile`, `metrics`, `trace-diff`, `health`, `list`, `help`).
+    /// The subcommand (`distill`, `evaluate`, `transfer`, `freeze`,
+    /// `serve-bench`, `table`, `profile`, `trace-diff`, `config`, `list`,
+    /// `help`).
     pub name: String,
     /// The first positional argument directly after the subcommand, if any
-    /// (`profile`/`health`/`table`/`metrics` accept the experiment id this
-    /// way; `trace-diff` takes the baseline trace path).
+    /// (`table` accepts the experiment id this way; `trace-diff` takes the
+    /// baseline trace path).
     pub positional: Option<String>,
     /// The second positional argument, if any (`trace-diff` takes the
     /// current trace path here).
@@ -144,8 +145,8 @@ impl Command {
     }
 
     /// The budget preset: `--budget`, else `CAE_BUDGET`, else the
-    /// subcommand's `default` (`profile`/`health` default to `smoke`: they
-    /// exist to inspect a run, not to reproduce paper numbers).
+    /// subcommand's `default` (`serve-bench` defaults to `smoke`: it
+    /// exercises the server, not paper numbers).
     ///
     /// # Errors
     /// Returns an error for unknown budget names, from either source.
@@ -170,8 +171,8 @@ impl Command {
         PathBuf::from(dir)
     }
 
-    /// The experiment id for id-taking subcommands: the positional argument
-    /// (`cae-dfkd profile table02`) or the `--id` flag.
+    /// The experiment id `table` runs: the positional argument
+    /// (`cae-dfkd table table02`) or the `--id` flag.
     ///
     /// # Errors
     /// Returns an error when neither is given.
@@ -271,48 +272,37 @@ USAGE:
                     [--mode exact|fused|int8] [--weights FILE.json] [--log LOG.txt]
                     [--arch resnet18] [--dataset c10] [--budget smoke|fast|full]
   cae-dfkd table    <id>|all [--budget smoke|fast|full] [--out results]
-  cae-dfkd profile  <id> [--budget smoke|fast|full] [--out .]
   cae-dfkd profile  --trace trace_table_ii.jsonl [--out .]
-  cae-dfkd metrics  <id> [--budget smoke|fast|full] [--out .] [--dup DIR]
   cae-dfkd trace-diff <baseline.jsonl> <current.jsonl> [--limit 20]
-  cae-dfkd health   <id> [--budget smoke|fast|full]
   cae-dfkd config
   cae-dfkd list
   cae-dfkd help
 
 `table` runs one registered experiment by id (see `list` for the ids) and
-writes its JSON artifact under --out. Set CAE_TRACE=1 to also write the
-run's trace (trace_<stem>.jsonl + TRACE_<stem>.json) next to the report.
+writes its JSON artifact under --out. It is the only subcommand that runs
+an experiment. Set CAE_TRACE=1 to also get every telemetry view of the
+run: it writes the trace (trace_<stem>.jsonl + TRACE_<stem>.json) and
+flamegraph-folded stacks (PROFILE_<stem>.txt) next to the report, and
+prints a per-span self-time table (coverage of the experiment span, self
+time outside it, critical path, GEMM GFLOP/s, pool use) and a
+training-health verdict (NaN/Inf, divergence, plateau) per recorded series
+(generator.loss, student.loss, ...). The report itself is byte-identical
+with tracing on or off.
 `table all` runs every table and figure the paper reports, in paper order:
 it skips an experiment whose report under --out already parses (set
 CAE_RESUME=0 to re-run it), continues past a failed experiment, and exits
 non-zero listing the failures. A flag beats its environment variable:
 --budget beats CAE_BUDGET and --out beats CAE_RESULTS_DIR.
-Id-taking subcommands accept the id positionally or as --id.
+The id is accepted positionally or as --id.
 
-`profile` runs the experiment with tracing forced on (serial cells, so the
-span forest is one tree), prints a per-span self-time table with the
-critical path and derived throughput, and writes flamegraph-folded stacks
-to PROFILE_<id>.txt under --out. With --trace it instead profiles an
-existing trace_<stem>.jsonl, no run needed.
-
-`metrics` runs the experiment with telemetry forced on, prints the run's
-span stats (`_ns_sum`/`_ns_count`), counters and gauges in Prometheus text
-exposition format, and writes METRICS_<id>.json (the TRACE_<id>.json
-summary shape) + metrics_<id>.prom under --out (--dup writes an
-independently rendered second copy for byte-diffing; the render is
-byte-stable). The serve phase stats come from `serve-bench`: set
-CAE_METRICS_INTERVAL_MS to have it export METRICS_serve.json +
-metrics_serve.prom to . every N ms (a running exporter turns telemetry on).
+`profile` reads a saved trace_<stem>.jsonl, prints its self-time table and
+writes PROFILE_<stem>.txt under --out; the JSONL carries span events only,
+so no throughput lines.
 
 `trace-diff` aligns two saved trace_*.jsonl span trees by span name and
 prints per-span self-time deltas sorted by absolute contribution, naming
 the top-delta span — the regression-attribution view for a traced run
 that slowed down.
-
-`health` runs the experiment with tracing forced on and prints a
-training-health verdict (NaN/Inf, divergence, plateau) per recorded series
-(generator.loss, student.loss, student.cncl_loss, ...).
 
 `freeze` compiles a trained checkpoint into a graph-free frozen inference
 model (conv+BN folded under --mode fused, the default; --mode exact keeps
@@ -329,7 +319,10 @@ logs (they must be identical — batching never changes results). With
 --weights it serves that checkpoint; otherwise it pretrains a small
 student under --budget. --log writes the batched prediction log for
 external byte-diffing. Defaults for --max-batch/--max-latency-us come
-from CAE_SERVE_MAX_BATCH / CAE_SERVE_MAX_LATENCY_US (see `config`).
+from CAE_SERVE_MAX_BATCH / CAE_SERVE_MAX_LATENCY_US (see `config`). Set
+CAE_METRICS_INTERVAL_MS to have it rewrite TRACE_serve.json in . every N
+ms: the serve phase span stats, counters and queue gauges (a running
+exporter turns telemetry on).
 
 `config` prints the process-wide runtime configuration: every CAE_* knob,
 its current value and where it came from.
@@ -377,13 +370,13 @@ mod tests {
         assert_eq!(c.positional2.as_deref(), Some("cur.jsonl"));
         assert_eq!(c.usize_or("limit", 20).expect("int"), 5);
 
-        let c = Command::parse(args("profile table02")).expect("parses");
+        let c = Command::parse(args("table table02")).expect("parses");
         assert_eq!(c.positional2, None);
     }
 
     #[test]
     fn leading_positional_feeds_id_arg() {
-        let c = Command::parse(args("profile table02 --budget smoke")).expect("parses");
+        let c = Command::parse(args("table table02 --budget smoke")).expect("parses");
         assert_eq!(c.positional.as_deref(), Some("table02"));
         assert_eq!(c.id_arg().expect("id"), "table02");
         assert_eq!(c.budget_or("smoke").expect("budget"), ExperimentBudget::smoke());
@@ -392,20 +385,26 @@ mod tests {
         assert_eq!(c.positional, None);
         assert_eq!(c.id_arg().expect("id"), "table05");
 
-        let c = Command::parse(args("health")).expect("parses");
+        let c = Command::parse(args("table")).expect("parses");
         let e = c.id_arg().expect_err("no id anywhere");
         assert!(e.to_string().contains("positional or --id"));
     }
 
     #[test]
     fn help_documents_the_observability_subcommands() {
-        assert!(HELP.contains("cae-dfkd profile"));
-        assert!(HELP.contains("cae-dfkd health"));
-        assert!(HELP.contains("PROFILE_<id>.txt"));
-        assert!(HELP.contains("cae-dfkd metrics"));
-        assert!(HELP.contains("METRICS_<id>.json"));
+        // One traced `table` run renders every view; two readers of a
+        // saved trace remain.
+        assert!(HELP.contains("Set CAE_TRACE=1 to also get every telemetry view"));
+        assert!(HELP.contains("PROFILE_<stem>.txt"));
+        assert!(HELP.contains("training-health verdict"));
+        assert!(HELP.contains("cae-dfkd profile  --trace trace_table_ii.jsonl"));
         assert!(HELP.contains("cae-dfkd trace-diff"));
         assert!(HELP.contains("CAE_METRICS_INTERVAL_MS"));
+        assert!(HELP.contains("TRACE_serve.json"));
+        let gone = ["cae-dfkd metrics", "cae-dfkd health", "METRICS_<", "METRICS_serve", ".prom"];
+        for name in gone {
+            assert!(!HELP.contains(name), "HELP still mentions {name}");
+        }
     }
 
     #[test]

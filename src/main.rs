@@ -7,6 +7,7 @@
 //! cae-dfkd evaluate --weights student.json --dataset c100 --arch resnet18
 //! cae-dfkd transfer --weights student.json --task nyu --arch resnet18
 //! cae-dfkd table table02 --budget smoke
+//! CAE_TRACE=1 cae-dfkd table table02 --budget smoke   # + trace, profile, health
 //! cae-dfkd table all --budget full
 //! ```
 
@@ -21,6 +22,8 @@ use cae_dfkd::data::dense::DensePreset;
 use cae_dfkd::nn::serialize;
 use cae_dfkd::serve::{prediction_log, run_closed_loop, run_open_loop, RequestTrace, ServeOptions};
 use cae_dfkd::tensor::rng::TensorRng;
+use cae_dfkd::trace::health::HealthMonitor;
+use cae_dfkd::trace::profile::Profile;
 use std::error::Error;
 use std::path::Path;
 use std::process::ExitCode;
@@ -62,9 +65,7 @@ fn run(cmd: &Command) -> Option<Result<(), Box<dyn Error + Send + Sync>>> {
         "serve-bench" => serve_bench(cmd),
         "table" => table(cmd),
         "profile" => profile(cmd),
-        "metrics" => metrics(cmd),
         "trace-diff" => trace_diff(cmd),
-        "health" => health(cmd),
         "config" => {
             print!("{}", Config::get().render());
             Ok(())
@@ -130,6 +131,8 @@ fn table(cmd: &Command) -> Result<(), Box<dyn Error + Send + Sync>> {
         match entry.run(&budget) {
             Ok(report) => save_table(&report, &out)?,
             Err(e) => {
+                // The failed run's events must not land in the next trace.
+                cae_dfkd::trace::drain();
                 eprintln!(">>> {e}; continuing with the remaining tables\n");
                 failures.push(e.to_string());
             }
@@ -146,93 +149,57 @@ fn table(cmd: &Command) -> Result<(), Box<dyn Error + Send + Sync>> {
     .into())
 }
 
-/// Prints a table report and writes its JSON artifact under `out`; when
-/// tracing is on, also drains the trace the run recorded and writes
-/// `trace_<stem>.jsonl` + `TRACE_<stem>.json` next to it.
+/// Prints a table report and writes its JSON artifact under `out`. When
+/// tracing is on it also drains the trace the run recorded and renders
+/// every view of it: `trace_<stem>.jsonl` + `TRACE_<stem>.json` next to the
+/// report, the self-time profile (printed, with flamegraph-folded stacks in
+/// `PROFILE_<stem>.txt`) and a training-health verdict per series.
 fn save_table(report: &Report, out: &Path) -> Result<(), Box<dyn Error + Send + Sync>> {
     println!("{report}");
     let path = report.save_json(out)?;
     println!("saved: {}", path.display());
-    if cae_dfkd::trace::enabled() {
-        let trace = cae_dfkd::trace::drain();
-        if !trace.is_empty() {
-            let (jsonl, summary) = trace.save(out, &report.file_stem())?;
-            println!("trace: {} + {}", jsonl.display(), summary.display());
-        }
-    }
-    Ok(())
-}
-
-/// `cae-dfkd profile <id>`: run with tracing forced on and profile the
-/// resulting span tree; or `--trace FILE.jsonl` to profile a saved trace.
-fn profile(cmd: &Command) -> Result<(), Box<dyn Error + Send + Sync>> {
-    let out = std::path::PathBuf::from(cmd.str_or("out", "."));
-    if let Some(path) = cmd.options.get("trace") {
-        let text = std::fs::read_to_string(path)?;
-        let profile = cae_dfkd::trace::profile::Profile::from_jsonl(&text)?;
-        let stem = std::path::Path::new(path)
-            .file_stem()
-            .and_then(|s| s.to_str())
-            .map(|s| s.strip_prefix("trace_").unwrap_or(s))
-            .unwrap_or("trace")
-            .to_owned();
-        print!("{}", profile.self_time_table());
-        let saved = profile.save(&out, &stem)?;
-        println!("profile: {}", saved.display());
+    if !cae_dfkd::trace::enabled() {
         return Ok(());
     }
-
-    let id = cmd.id_arg()?;
-    let budget = cmd.budget_or("smoke")?;
-    let entry = entry_by_id(id)?;
-    // Serial cells keep every span on one thread-rooted tree, so the
-    // self-time table provably sums back to the `experiment` root; the
-    // raised event cap keeps a fast-budget profile from truncating.
-    cae_dfkd::core::experiments::scheduler::force_cell_parallelism(Some(false));
-    cae_dfkd::trace::raise_event_cap(1 << 20);
-    cae_dfkd::trace::force_enabled(true);
-    cae_dfkd::trace::drain(); // profile this run only
-    let run_outcome = entry.run(&budget);
     let trace = cae_dfkd::trace::drain();
-    cae_dfkd::trace::reset_to_env();
-    cae_dfkd::core::experiments::scheduler::force_cell_parallelism(None);
-    run_outcome?;
-
-    let profile = cae_dfkd::trace::profile::Profile::from_trace(&trace);
+    if trace.is_empty() {
+        return Ok(());
+    }
+    let stem = report.file_stem();
+    let (jsonl, summary) = trace.save(out, &stem)?;
+    println!("trace: {} + {}", jsonl.display(), summary.display());
+    let profile = Profile::from_trace(&trace);
     print!("{}", profile.self_time_table());
-    let saved = profile.save(&out, id)?;
-    println!("profile: {}", saved.display());
+    println!("profile: {}", profile.save(out, &stem)?.display());
+
+    let health = HealthMonitor::default().check_trace(&trace);
+    println!("training health for '{stem}' ({} series):", health.verdicts.len());
+    for v in &health.verdicts {
+        if v.is_healthy() {
+            println!("  {:<22} {:>6} points  healthy", v.name, v.points);
+        } else {
+            let issues: Vec<String> = v.issues.iter().map(ToString::to_string).collect();
+            println!("  {:<22} {:>6} points  {}", v.name, v.points, issues.join(", "));
+        }
+    }
+    println!("verdict: {}", health.summary());
     Ok(())
 }
 
-/// `cae-dfkd metrics <id>`: run with telemetry forced on, print the
-/// Prometheus-style snapshot and export METRICS_<id>.json +
-/// metrics_<id>.prom.
-fn metrics(cmd: &Command) -> Result<(), Box<dyn Error + Send + Sync>> {
+/// `cae-dfkd profile --trace <trace.jsonl>`: profile a trace a traced
+/// `table` run saved — print its self-time table and write
+/// flamegraph-folded stacks to `PROFILE_<stem>.txt` under `--out`.
+fn profile(cmd: &Command) -> Result<(), Box<dyn Error + Send + Sync>> {
     let out = std::path::PathBuf::from(cmd.str_or("out", "."));
-    let id = cmd.id_arg()?;
-    let budget = cmd.budget_or("smoke")?;
-    let entry = entry_by_id(id)?;
-    cae_dfkd::trace::force_enabled(true);
-    cae_dfkd::trace::drain(); // observe this run only
-    let run_outcome = entry.run(&budget);
-    // Snapshot before the cleanup drain — draining consumes the aggregates
-    // the snapshot reads non-destructively. The optional second snapshot
-    // exists so callers can byte-diff two independently taken+rendered
-    // exports of the same quiescent state.
-    let snap = cae_dfkd::trace::snapshot();
-    let dup_snap = cmd.options.get("dup").map(|_| cae_dfkd::trace::snapshot());
-    cae_dfkd::trace::drain();
-    cae_dfkd::trace::reset_to_env();
-    run_outcome?;
-
-    print!("{}", snap.prometheus_text());
-    let (json, prom) = cae_dfkd::trace::metrics::save(&snap, &out, id)?;
-    println!("metrics: {} + {}", json.display(), prom.display());
-    if let (Some(dir), Some(dup)) = (cmd.options.get("dup"), dup_snap) {
-        let (json2, _) = cae_dfkd::trace::metrics::save(&dup, std::path::Path::new(dir), id)?;
-        println!("metrics dup: {}", json2.display());
-    }
+    let path = cmd.required("trace")?;
+    let profile = Profile::from_jsonl(&std::fs::read_to_string(path)?)?;
+    let stem = Path::new(path)
+        .file_stem()
+        .and_then(|s| s.to_str())
+        .map(|s| s.strip_prefix("trace_").unwrap_or(s))
+        .unwrap_or("trace");
+    print!("{}", profile.self_time_table());
+    println!("profile: {}", profile.save(&out, stem)?.display());
     Ok(())
 }
 
@@ -243,37 +210,10 @@ fn trace_diff(cmd: &Command) -> Result<(), Box<dyn Error + Send + Sync>> {
     let baseline = cmd.positional.as_deref().ok_or(missing)?;
     let current = cmd.positional2.as_deref().ok_or(missing)?;
     let limit = cmd.usize_or("limit", 20)?;
-    let base = cae_dfkd::trace::profile::Profile::from_jsonl(&std::fs::read_to_string(baseline)?)?;
-    let cur = cae_dfkd::trace::profile::Profile::from_jsonl(&std::fs::read_to_string(current)?)?;
+    let base = Profile::from_jsonl(&std::fs::read_to_string(baseline)?)?;
+    let cur = Profile::from_jsonl(&std::fs::read_to_string(current)?)?;
     println!("trace-diff: {baseline} -> {current}");
     print!("{}", cae_dfkd::trace::profile::diff(&base, &cur).render(limit));
-    Ok(())
-}
-
-/// `cae-dfkd health <id>`: run with tracing forced on and print a
-/// training-health verdict per recorded series.
-fn health(cmd: &Command) -> Result<(), Box<dyn Error + Send + Sync>> {
-    let id = cmd.id_arg()?;
-    let budget = cmd.budget_or("smoke")?;
-    let entry = entry_by_id(id)?;
-    cae_dfkd::trace::force_enabled(true);
-    cae_dfkd::trace::drain();
-    let run_outcome = entry.run(&budget);
-    let trace = cae_dfkd::trace::drain();
-    cae_dfkd::trace::reset_to_env();
-
-    let report = cae_dfkd::trace::health::HealthMonitor::default().check_trace(&trace);
-    println!("training health for '{id}' ({} series):", report.verdicts.len());
-    for v in &report.verdicts {
-        if v.is_healthy() {
-            println!("  {:<22} {:>6} points  healthy", v.name, v.points);
-        } else {
-            let issues: Vec<String> = v.issues.iter().map(ToString::to_string).collect();
-            println!("  {:<22} {:>6} points  {}", v.name, v.points, issues.join(", "));
-        }
-    }
-    println!("verdict: {}", report.summary());
-    run_outcome?;
     Ok(())
 }
 
@@ -380,8 +320,9 @@ fn serve_bench(cmd: &Command) -> Result<(), Box<dyn Error + Send + Sync>> {
         opts = opts.with_max_latency_us(cmd.u64_or("max-latency-us", 0)?);
     }
 
-    // Export live metrics periodically if CAE_METRICS_INTERVAL_MS asks for
-    // it; a running exporter turns telemetry on.
+    // Export the summary view (TRACE_serve.json) periodically if
+    // CAE_METRICS_INTERVAL_MS asks for it; a running exporter turns
+    // telemetry on.
     let exporter = cae_dfkd::trace::metrics::start_exporter(std::path::Path::new("."), "serve");
 
     let trace = RequestTrace::synthetic(requests, 3, dataset.resolution(), budget.seed ^ 0x7e5e);
@@ -409,8 +350,7 @@ fn serve_bench(cmd: &Command) -> Result<(), Box<dyn Error + Send + Sync>> {
     );
     println!("  phases: {}", batched.phase_summary());
     if let Some(exporter) = exporter {
-        let (json, prom) = exporter.stop()?;
-        println!("metrics export: {} + {}", json.display(), prom.display());
+        println!("metrics export: {}", exporter.stop()?.display());
     }
     let log = prediction_log(&batched.predictions);
     let identical = prediction_log(&sequential.predictions) == log;

@@ -55,6 +55,22 @@ fn an_unknown_subcommand_shows_usage() {
 }
 
 #[test]
+fn table_is_the_only_subcommand_that_runs_an_experiment() {
+    // A traced `table` run renders every telemetry view; the subcommands
+    // that re-ran an experiment for one view are gone.
+    for gone in ["metrics", "health"] {
+        let out = cae_dfkd(&[gone, "table02", "--budget", "smoke"], None);
+        assert!(!out.status.success());
+        let err = stderr(&out);
+        assert!(err.starts_with(&format!("error: unknown subcommand '{gone}'\n")), "{err}");
+    }
+    // `profile` reads a saved trace; it no longer runs an experiment.
+    let out = cae_dfkd(&["profile", "table02"], None);
+    assert!(!out.status.success());
+    assert_eq!(stderr(&out), "error: missing required flag --trace\n");
+}
+
+#[test]
 fn table_all_skips_every_completed_paper_artifact() {
     let dir = std::env::temp_dir().join(format!("cae_table_all_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
